@@ -48,7 +48,6 @@ from .errors import (
     DepthCapExceeded,
     EnvParseError,
     IoError,
-    NoConvergence,
     NotRegular,
     NotStrictlyConvex,
     OutsideRegime,
@@ -497,7 +496,7 @@ _EXIT_CODES = (
     (( BadRows, BadSupport, BadAlpha, NotRegular, EnvParseError, NotStrictlyConvex,
        FileNotFoundError ), 3),
     (( OutsideRegime, ConditionsNotMet, PredictionUnavailable ), 4),
-    (( DepthCapExceeded, CapExceeded, NoConvergence ), 5),
+    (( DepthCapExceeded, CapExceeded ), 5),
 )
 
 

@@ -53,10 +53,6 @@ class ThetaOutOfDomain(TrielabError):
         self.grid_index = grid_index
 
 
-class NoConvergence(TrielabError):
-    """Power iteration failed to meet tolerance within the iteration cap."""
-
-
 class ZOutOfRange(TrielabError):
     """Requested drift value is outside the attainable closure (sup = +inf)."""
 

@@ -16,10 +16,12 @@ and the decay constants of the extreme boxes,
 whose one-sided limits give the smallest-box constant (saturation levels) and
 the largest-box constant (heights in the large-threshold regime).
 
-Internally every evaluation is carried out on a rescaled matrix
-B = exp(L - s) with L = (ln m_ij) and s = max L, so that extreme tilts
-(|theta| up to 2^14 during limit-taking) never overflow; eigenvectors are
-unaffected by the scaling and log rho = s + log rho(B).
+Internally every evaluation is one dense eigen-solve of a rescaled matrix
+B = exp(L' - s) and of its transpose, with L' a diagonal similarity of
+L = (ln m_ij) that levels the dominant cycles and s = max L', so that
+extreme tilts neither overflow nor underflow; log rho = s + log rho(B).
+The one-sided limits of c(theta) are exact: extreme mean cycles of the
+log-entries, from max-plus matrix powers.
 """
 
 from __future__ import annotations
@@ -31,22 +33,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .envs import EnvironmentModel, dlog_moment_matrix, log_moment_matrix
+from .envs import DIRICHLET, EnvironmentModel, dlog_moment_matrix, log_moment_matrix
 from .errors import (
     ConditionsNotMet,
     DomainTooNarrow,
-    NoConvergence,
     NotStrictlyConvex,
     OutsideRegime,
     ThetaOutOfDomain,
     ZOutOfRange,
 )
 
-_RAYLEIGH_TOL = 1e-13
-_RESIDUAL_TOL = 1e-10
-_MAX_ITER = 100_000
-_DOUBLING_KS = range(4, 15)          # theta = +-2^4 .. +-2^14 for one-sided limits
-_LIMIT_RTOL = 1e-6
+_DOUBLING_KS = range(4, 15)          # theta = +-2^4 .. +-2^14 for rate boundary values
 _GRID_POINTS = 512
 _ENTRY_CLIP_LOG = math.log(1e12)     # working grids avoid moments above 1e12
 _CONVEXITY_EPS = 1e-9
@@ -109,117 +106,79 @@ class SpectralProfile:
 # eigen-solver
 # --------------------------------------------------------------------------
 
-def _power_pair(B: np.ndarray, max_iter: int = _MAX_ITER) -> tuple:
-    """Power-iterate B and B^T with per-step max scaling.
+def _perron(B: np.ndarray) -> tuple:
+    """(rho, v, w) of a nonnegative primitive matrix B, w.v = 1, ||v||_1 = 1.
 
-    The iteration runs on B + s*I (s = the largest entry): the shift shares
-    B's eigenvectors but keeps the dominant eigenvalue well separated even
-    when B itself has a nearly balancing negative or complex subdominant
-    eigenvalue (near-periodic tilts).  Converges when successive generalized
-    Rayleigh quotients differ by less than 1e-13 relatively and both
-    eigen-residuals of B itself are below 1e-10 in relative max norm.
+    One dense eigen-solve of B and one of B^T; the Perron root is the
+    eigenvalue with the largest real part.  Scaling v to sum 1 and w to
+    w.v = 1 also fixes their signs.
     """
-    K = B.shape[0]
-    shift = float(B.max())
-    v = np.full(K, 1.0 / K)
-    w = np.full(K, 1.0 / K)
-    prev = None
-    for _ in range(max_iter):
-        v = B @ v + shift * v
-        v /= v.max()
-        w = B.T @ w + shift * w
-        w /= w.max()
-        wv = w @ v
-        est = (w @ (B @ v)) / wv
-        rv = np.abs(B @ v - est * v).max() / np.abs(v).max()
-        rw = np.abs(B.T @ w - est * w).max() / np.abs(w).max()
-        if (
-            prev is not None
-            and abs(est - prev) <= _RAYLEIGH_TOL * abs(est)
-            and rv <= _RESIDUAL_TOL
-            and rw <= _RESIDUAL_TOL
-        ):
-            v = v / v.sum()
-            w = w / (w @ v)
-            return float(est), v, w, float(max(rv, rw))
-        prev = est
-    raise NoConvergence(
-        f"power iteration did not reach tolerance within {max_iter} iterations"
-    )
+    vals, vecs = np.linalg.eig(B)
+    k = int(np.argmax(vals.real))
+    v = vecs[:, k].real
+    v = v / v.sum()
+    vals_t, vecs_t = np.linalg.eig(B.T)
+    w = vecs_t[:, int(np.argmax(vals_t.real))].real
+    return float(vals[k].real), v, w / (w @ v)
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One rescaled spectral evaluation at a fixed theta."""
-
-    theta: float
-    log_rho: float
-    drift: float
-    v: np.ndarray
-    w: np.ndarray
-    residual: float
+def _maxplus(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Max-plus product: out_il = max_j P_ij + W_jl, in O(K^2) memory."""
+    out = np.full(P.shape, -np.inf)
+    for j in range(W.shape[0]):
+        np.maximum(out, P[:, j, None] + W[j], out=out)
+    return out
 
 
-def _point(env: EnvironmentModel, theta: float, max_iter: int = _MAX_ITER) -> _Point:
-    L = log_moment_matrix(env, theta)
-    sup = env.support
-    s = L[sup].max()
-    B = np.where(sup, np.exp(L - s), 0.0)
-    rho_b, v, w, resid = _power_pair(B, max_iter=max_iter)
-    D = dlog_moment_matrix(env, theta)
-    drift = float(w @ ((D * B) @ v)) / rho_b
-    return _Point(theta, s + math.log(rho_b), drift, v, w, resid)
+@lru_cache(maxsize=64)
+def _critical(env: EnvironmentModel, sign: int) -> tuple:
+    """(lam, u) for the log-entries W that dominate as theta -> sign * inf.
 
-
-_SQUARINGS = 48
-
-
-def _log_rho_squaring(env: EnvironmentModel, theta: float) -> float:
-    """log rho via repeated matrix squaring, no eigenvectors.
-
-    After P rescaled squarings, log rho = (g + log rho(C)) / 2^P with C the
-    rescaled power; bounding rho(C) by its extreme row sums leaves an error
-    below ~1e-12.  This stays well-posed where power iteration cannot
-    converge: at extreme tilts the matrix approaches a periodic one (the
-    dominant cycle) and its spectral gap closes.
+    W is sign * ln p for fixed rows; for mixtures ln max_c p^(c) (sign +1)
+    or -ln min_c p^(c) (sign -1); -inf off the support.  lam is the largest
+    cycle mean of W: every closed walk splits into simple cycles, of length
+    at most K, so lam = max over k <= K of (max-plus trace of W^k) / k.
+    u holds potentials with W_ij + u_j - u_i <= lam, with equality along a
+    critical cycle: u_i is the heaviest walk of W - lam from i into one
+    critical node.
     """
-    L = log_moment_matrix(env, theta)
-    sup = env.support
-    s = L[sup].max()
-    C = np.where(sup, np.exp(L - s), 0.0)
-    g = 0.0
-    for _ in range(_SQUARINGS):
-        C = C @ C
-        m = C.max()
-        if m <= 0.0:
-            return -math.inf
-        C /= m
-        g = 2.0 * g + math.log(m)
-    rows = C.sum(axis=1)
-    est = math.log(max(float(rows.max()), 1e-300))
-    return s + (g + est) / 2.0 ** _SQUARINGS
-
-
-_FAST_ITER = 5000
+    if env.is_deterministic:
+        P = env.rows
+    else:
+        P = env.comps.max(axis=0) if sign > 0 else env.comps.min(axis=0)
+    W = np.where(env.support, sign * np.log(np.where(env.support, P, 1.0)), -np.inf)
+    Wk, lam = W, float(np.diag(W).max())
+    for k in range(2, env.K + 1):
+        Wk = _maxplus(Wk, W)
+        lam = max(lam, float(np.diag(Wk).max()) / k)
+    A = W - lam
+    Ak = plus = A
+    for _ in range(env.K - 1):
+        Ak = _maxplus(Ak, A)
+        plus = np.maximum(plus, Ak)
+    return lam, plus[:, int(np.argmax(np.diag(plus)))]
 
 
 def _eval(env: EnvironmentModel, theta: float) -> tuple:
-    """(log rho, drift), robust across the whole tilt range.
+    """(log rho, drift) at theta; drift = rho'/rho by the perturbation identity.
 
-    Fast path: power iteration plus the eigenvalue perturbation identity.
-    Fallback when the spectral gap is too small for iteration: squaring-based
-    log rho with a central finite difference for the drift.
+    The eigen-solve runs on B = exp(L' - max L'), where L'_ij = L_ij +
+    |theta| (u_j - u_i) is a diagonal similarity of the log-moment matrix L
+    with the potentials of _critical: it levels the arcs of the cycles that
+    dominate at large |theta|, so none of them underflows at extreme tilts.
+    The eigenvalues and w (D * B) v / (w v) do not depend on the similarity.
+    Dirichlet log-moments grow only like ln theta and need no leveling.
     """
-    try:
-        pt = _point(env, theta, max_iter=_FAST_ITER)
-        return pt.log_rho, pt.drift
-    except NoConvergence:
-        h = 1e-4
-        lr = _log_rho_squaring(env, theta)
-        drift = (
-            _log_rho_squaring(env, theta + h) - _log_rho_squaring(env, theta - h)
-        ) / (2.0 * h)
-        return lr, drift
+    L = log_moment_matrix(env, theta)      # -inf off the support
+    if env.kind != DIRICHLET:
+        u = abs(theta) * _critical(env, 1 if theta >= 0 else -1)[1]
+        L = L + (u[None, :] - u[:, None])
+    s = L.max()
+    B = np.exp(L - s)
+    rho_b, v, w = _perron(B)
+    D = dlog_moment_matrix(env, theta)
+    drift = float(w @ ((D * B) @ v)) / rho_b
+    return s + math.log(rho_b), drift
 
 
 # --------------------------------------------------------------------------
@@ -241,16 +200,15 @@ def tilted_matrix(env: EnvironmentModel, theta: float) -> TiltedMatrix:
 
 
 def perron_triplet(matrix: TiltedMatrix) -> PerronTriplet:
-    rho, v, w, resid = _power_pair(matrix.entries)
-    return PerronTriplet(rho=rho, v=v, w=w, residual=resid)
+    A = matrix.entries
+    rho, v, w = _perron(A)
+    resid = max(np.abs(A @ v - rho * v).max() / np.abs(v).max(),
+                np.abs(A.T @ w - rho * w).max() / np.abs(w).max())
+    return PerronTriplet(rho=rho, v=v, w=w, residual=float(resid))
 
 
 def rho_prime(env: EnvironmentModel, theta: float) -> float:
-    """rho'(theta) via the eigenvalue perturbation identity w^T A'(theta) v.
-
-    (Finite differences of the squaring-based log rho take over only in the
-    near-periodic extreme-tilt regime where the triplet is unobtainable.)
-    """
+    """rho'(theta) via the eigenvalue perturbation identity w^T A'(theta) v."""
     log_rho, drift = _eval(env, theta)
     return drift * math.exp(log_rho)
 
@@ -280,6 +238,7 @@ def rate_function(env: EnvironmentModel, z: float) -> float:
         raise ZOutOfRange(f"z = {z!r} differs from the only attainable drift {d_hi!r}")
     if z < d_lo - tol or z > d_hi + tol:
         raise ZOutOfRange(f"z = {z!r} outside attainable drifts [{d_lo!r}, {d_hi!r}]")
+    z = min(max(z, d_lo), d_hi)        # within tol past an end: that end's value
 
     lo_t, hi_t = -2.0, 2.0
     while _eval(env, lo_t)[1] > z and lo_t > -(2.0 ** 14):
@@ -308,45 +267,20 @@ def rate_function(env: EnvironmentModel, z: float) -> float:
 
 
 def _c_limit(env: EnvironmentModel, sign: int) -> float:
-    """One-sided limit of rho/(-rho') = -1/drift along theta = sign * 2^k."""
-    val = None
-    for k in _DOUBLING_KS:
-        theta = sign * float(2 ** k)
-        if not (env.domain_lo < theta < env.domain_hi):
-            break
-        cur = -1.0 / _eval(env, theta)[1]
-        if val is not None and abs(cur - val) < _LIMIT_RTOL * abs(cur):
-            return cur
-        val = cur
-    if val is None:
-        raise ThetaOutOfDomain(
-            f"cannot take the theta -> {sign}*inf limit: domain "
-            f"({env.domain_lo!r}, {env.domain_hi!r}) is bounded on that side"
-        )
-    return val
+    """Exact limit of rho/(-rho') = -1/drift as theta -> sign * inf.
 
-
-def _cycle_mean_interval(env: EnvironmentModel) -> Optional[tuple]:
-    """Extreme geometric-mean cycle weights of the support digraph (K <= 8).
-
-    For a deterministic environment these are the exact limits of
-    rho(theta)^(1/theta), hence an independent check on the doubling limits.
+    The drift tends to the largest cycle mean of the log-entries dominating
+    at that end (see _critical).  Dirichlet drifts tend to 0 from below as
+    theta -> +inf, and theta -> -inf leaves the domain.
     """
-    if env.K > 8 or not env.is_deterministic:
-        return None
-    import networkx as nx
-
-    G = nx.DiGraph()
-    for i in range(env.K):
-        for j in env.supported_cols[i]:
-            G.add_edge(i, int(j), logp=math.log(env.rows[i, j]))
-    means = []
-    for cycle in nx.simple_cycles(G):
-        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-        means.append(sum(G.edges[e]["logp"] for e in edges) / len(edges))
-    if not means:
-        return None
-    return (min(means), max(means))
+    if env.kind == DIRICHLET:
+        if sign < 0:
+            raise ThetaOutOfDomain(
+                f"cannot take the theta -> -inf limit: domain "
+                f"({env.domain_lo!r}, {env.domain_hi!r}) is bounded on that side"
+            )
+        return math.inf
+    return -1.0 / (sign * _critical(env, sign)[0])
 
 
 def _f_of(env: EnvironmentModel) -> Callable[[float], float]:
@@ -389,10 +323,8 @@ def _clip_to_entries(env: EnvironmentModel) -> float:
 def asymptotic_constants(env: EnvironmentModel) -> ConstantsReport:
     """Decay constants of the extreme boxes and the f-positivity interval.
 
-    Deterministic environments: both constants are theta -> +-inf limits of
-    rho/(-rho'), taken along a doubling schedule with a 1e-6 relative stop;
-    the simple-cycle geometric-mean interval is reported as an independent
-    cross-check when K <= 8.
+    Deterministic environments: both constants are the exact theta -> +-inf
+    limits of rho/(-rho'), -1 over the extreme mean cycles of ln p.
 
     Random environments: condition (strict convexity of log rho) is verified
     on the working grid, the endpoints of {f > 0} are located by sign scan
@@ -400,20 +332,12 @@ def asymptotic_constants(env: EnvironmentModel) -> ConstantsReport:
     those endpoints.
     """
     if env.is_deterministic:
-        c_lo = _c_limit(env, -1)
-        c_hi = _c_limit(env, +1)
-        notes = "deterministic regime"
-        interval = _cycle_mean_interval(env)
-        if interval is not None:
-            notes += (
-                f"; cycle-mean check: c_lower ~ {-1.0 / interval[0]!r},"
-                f" c_upper ~ {-1.0 / interval[1]!r}"
-            )
         return ConstantsReport(
             domain_lo=env.domain_lo, domain_hi=env.domain_hi,
-            c_star_lower=c_lo, c_star_upper=c_hi,
+            c_star_lower=_c_limit(env, -1), c_star_upper=_c_limit(env, +1),
             theta_star_lower=-math.inf, theta_star_upper=math.inf,
-            condition_saturation_ok=True, notes=notes,
+            condition_saturation_ok=True,
+            notes="deterministic regime; constants from the extreme mean cycles of ln p",
         )
 
     f = _f_of(env)

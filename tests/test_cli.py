@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,18 @@ def test_spectral_csv_header(tmp_path, iid_env_file):
     lines = out.read_text().splitlines()
     assert lines[0] == "theta,rho,log_rho,drift,psi,phi,f"
     assert len([l for l in lines if l.startswith("c_star_")]) == 2
+
+
+def test_readme_spectral_example_runs(tmp_path, monkeypatch):
+    # a grid starting with "-" must be passed as --theta-grid=LO:HI:STEPS,
+    # or argparse reads it as an option
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    line = next(l for l in readme.splitlines() if l.startswith("trielab spectral "))
+    (tmp_path / "iid.env").write_text(IID_ENV)
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert float(lines[1].split(",")[0]) == -2.0 and len(lines) == 1 + 33 + 5
 
 
 # --------------------------------------------------------------------------

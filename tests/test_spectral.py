@@ -1,11 +1,13 @@
 """Tilted spectra: Perron triplets, shape functions, rate function, constants."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import trielab as tl
+from trielab import spectral
 from trielab.errors import (
     ConditionsNotMet,
     NotStrictlyConvex,
@@ -202,6 +204,19 @@ def test_rate_interior_matches_grid_oracle(env_iid):
         assert tl.rate_function(env_iid, z) >= -1e-12
 
 
+def test_rate_mixture_range_ends_are_exact(env_mixture):
+    # attainable drifts: [ln 0.1, ln 0.9], the extreme mean cycles of
+    # ln min_c p^(c) and ln max_c p^(c)
+    for end, inward in ((math.log(0.1), 1.0), (math.log(0.9), -1.0)):
+        with pytest.raises(ZOutOfRange):
+            tl.rate_function(env_mixture, end - inward * 1e-7)
+        inside = tl.rate_function(env_mixture, end + inward * 1e-7)
+        assert math.isfinite(inside) and inside >= 0
+        # within the 1e-9 tolerance past an end, the end's value
+        assert tl.rate_function(env_mixture, end - inward * 1e-12) == tl.rate_function(
+            env_mixture, end)
+
+
 def test_rate_out_of_range(env_iid):
     with pytest.raises(ZOutOfRange):
         tl.rate_function(env_iid, math.log(0.7) + 0.1)
@@ -232,9 +247,70 @@ def test_constants_markov_cycle_oracle(env_markov):
     # simple cycles of the support digraph give the exact one-sided limits
     rep = tl.asymptotic_constants(env_markov)
     cycle_means = [math.log(0.9), math.log(0.8), (math.log(0.1) + math.log(0.2)) / 2]
-    assert rep.c_star_lower == pytest.approx(-1 / min(cycle_means), rel=1e-5)
-    assert rep.c_star_upper == pytest.approx(-1 / max(cycle_means), rel=1e-5)
+    assert rep.c_star_lower == pytest.approx(-1 / min(cycle_means), rel=1e-12)
+    assert rep.c_star_upper == pytest.approx(-1 / max(cycle_means), rel=1e-12)
     assert 0 < rep.c_star_lower <= rep.c_star_upper
+
+
+def _simple_cycle_means(P):
+    """(min, max) mean of ln p over the simple cycles of P's support, by enumeration."""
+    K = len(P)
+    means = []
+    for k in range(1, K + 1):
+        for seq in itertools.permutations(range(K), k):
+            if seq[0] != min(seq):
+                continue                      # one rotation per cycle
+            arcs = list(zip(seq, seq[1:] + seq[:1]))
+            if all(P[a][b] > 0 for a, b in arcs):
+                means.append(sum(math.log(P[a][b]) for a, b in arcs) / k)
+    return min(means), max(means)
+
+
+def _sparse_envs(count=20, seed=20261018):
+    """Seeded deterministic environments, K = 2..6, most with zero entries,
+    each with a two-component mixture twin on the same support."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        K = int(rng.integers(2, 7))
+        rows = np.zeros((K, K))
+        while (np.count_nonzero(rows, axis=1) < 2).any():
+            rows = rng.dirichlet(np.ones(K), size=K) * (rng.random((K, K)) > 0.35)
+        rows /= rows.sum(axis=1, keepdims=True)
+        other = rng.dirichlet(np.ones(K), size=K) * (rows > 0)
+        other /= other.sum(axis=1, keepdims=True)
+        try:
+            env = tl.deterministic_env(rows)
+        except tl.errors.NotRegular:
+            continue
+        out.append((env, tl.mixture_env([0.3, 0.7], [rows, other])))
+    return out
+
+
+def test_cycle_limits_match_simple_cycle_enumeration():
+    envs = _sparse_envs()
+    assert sum((~env.support).any() for env, _ in envs) >= 10
+    for env, mix in envs:
+        lo, hi = _simple_cycle_means(env.rows)
+        rep = tl.asymptotic_constants(env)
+        assert rep.c_star_lower == pytest.approx(-1 / lo, rel=1e-12)
+        assert rep.c_star_upper == pytest.approx(-1 / hi, rel=1e-12)
+        # mixtures: ln max_c p^(c) dominates as theta -> +inf, ln min_c p^(c) as -inf
+        _, hi_mix = _simple_cycle_means(mix.comps.max(axis=0))
+        lo_mix, _ = _simple_cycle_means(mix.comps.min(axis=0))
+        assert spectral._c_limit(mix, -1) == pytest.approx(-1 / lo_mix, rel=1e-12)
+        assert spectral._c_limit(mix, +1) == pytest.approx(-1 / hi_mix, rel=1e-12)
+
+
+def test_extreme_tilts_approach_the_cycle_limits():
+    # at |theta| = 2^12 the unleveled rescaled matrix underflows to a
+    # nilpotent one whenever the dominant cycle has unequal arcs
+    for env, mix in _sparse_envs():
+        for model in (env, mix):
+            for sign in (-1, +1):
+                log_rho, drift = spectral._eval(model, sign * 4096.0)
+                assert math.isfinite(log_rho)
+                assert -1 / drift == pytest.approx(spectral._c_limit(model, sign), rel=1e-9)
 
 
 def test_constants_dirichlet(env_dirichlet):
