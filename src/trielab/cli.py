@@ -164,8 +164,13 @@ def _collect_runs(config: ExperimentConfig, env: EnvironmentModel):
         for rep in range(config.replicates)
     ]
     if config.workers > 1:
+        # largest m first (longest processing time first), so the short
+        # tasks fill the gaps at the end; four chunks per worker keep the
+        # per-task hand-off cost small next to millisecond replicates
+        tasks.sort(key=lambda t: -t[5])
+        chunk = max(1, len(tasks) // (4 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_one_run_star, tasks, chunksize=16))
+            results = list(pool.map(_one_run_star, tasks, chunksize=chunk))
     else:
         results = [_one_run(*t) for t in tasks]
     results.sort(key=lambda r: (r[0], r[1]))      # deterministic fold order
@@ -240,7 +245,32 @@ def run_spectral(config: ExperimentConfig, env: EnvironmentModel):
     return spectral.spectral_profile(env, config.theta_grid)
 
 
+def _refuse_overflowing_sums(env: EnvironmentModel, n: int, thetas) -> None:
+    """Raise CapExceeded when a tilted level sum of generation n leaves float64.
+
+    The sums are the first row of the n-th tilted matrix power, carried in
+    log space by normalised vector-matrix steps, so the check itself cannot
+    overflow.  Exact zeros (types not reachable in n steps) are in range.
+    """
+    lo, hi = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    for theta in thetas:
+        A = spectral.tilted_matrix(env, theta).entries
+        vec, scale = np.eye(env.K)[0], 0.0
+        for _ in range(n):
+            vec = vec @ A
+            total = vec.sum()
+            vec, scale = vec / total, scale + math.log(total)
+        logs = scale + np.log(vec[vec > 0])
+        if logs.max() > hi or logs.min() < lo:
+            raise CapExceeded(
+                f"level sums at depth {n}, theta = {theta!r} reach e^{logs.max():.6g} "
+                f"and e^{logs.min():.6g}, outside the float64 range"
+            )
+
+
 def run_profile(config: ExperimentConfig, env: EnvironmentModel):
+    if env.is_deterministic:
+        _refuse_overflowing_sums(env, config.depth, config.theta_grid)
     rng = _stream(config.master_seed, 0, 0)
     return sim.enumerate_level(env, config.depth, theta_list=config.theta_grid,
                                cap=config.cap, rng=rng)

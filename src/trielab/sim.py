@@ -17,21 +17,31 @@ comparing their number R_n with the number P_n of positive-mass boxes
 
 The multinomial split is realized as a chain of conditional binomials over
 the supported children: exact, and vectorized over all boxes of one type.
+
+Every box draws its own row, so a box of type i holding c balls roots an
+independent subtree whose height law depends on (i, c) alone (the height
+recursion of Szpankowski, 1991).  Once G is decided, the height run freezes
+every box holding j <= c <= C0 balls and draws each (level, type, count)
+class maximum from exact subtree-height tail tables; only boxes holding more
+than C0 balls are split further.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import betaln, gammaln, xlog1py, xlogy
 
 from .envs import DETERMINISTIC, DIRICHLET, EnvironmentModel
 from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegime
 
 DEFAULT_DEPTH_CAP = 10_000
 COUPON_BOX_CAP = 1_000_000
+C0 = 64                   # largest ball count a height run resolves from tables
 _COUPON_BATCH = 2048
 
 
@@ -43,8 +53,8 @@ class TrieObservation:
     j: int
     height: Optional[int]          # None when only the saturation level was run
     saturation: int
-    expanded_nodes: int
-    max_depth_reached: int
+    expanded_nodes: int            # boxes split explicitly
+    max_depth_reached: int         # generation where explicit splitting stopped
 
 
 @dataclass
@@ -157,8 +167,129 @@ def _advance_positive(env, per_type, cap):
     return out
 
 
+def _split_pmfs(env, i, C):
+    """Exact split law of a type-(i+1) box, as chains over its supported children.
+
+    Returns [(weight, steps, last)]: one chain per row component (the mixture
+    components, else one).  steps holds (col, B) with B[r, x] the probability
+    that child `col` takes x of the r balls still unassigned; `last` takes
+    the rest.  Fixed rows give conditional binomials, as _split_counts draws
+    them; Dirichlet rows give beta-binomials, by stick-breaking.
+    """
+    cols = env.supported_cols[i]
+    r = np.arange(C + 1)[:, None]
+    x = np.arange(C + 1)[None, :]
+    below = x <= r
+    xs, rest = np.minimum(x, r), np.maximum(r - x, 0)
+    log_comb = gammaln(r + 1) - gammaln(xs + 1) - gammaln(rest + 1)
+
+    def chain(log_pmf_of):
+        steps = []
+        for t, col in enumerate(cols[:-1]):
+            B = np.where(below, np.exp(log_comb + log_pmf_of(t)), 0.0)
+            steps.append((int(col), B))
+        return steps, int(cols[-1])
+
+    def binomial(row):
+        tails = np.cumsum(row[::-1])[::-1]
+        return lambda t: (xlogy(xs, row[t] / tails[t])
+                          + xlog1py(rest, -row[t] / tails[t]))
+
+    if env.kind == DIRICHLET:
+        a = env.alpha[i, cols]
+        tails = np.cumsum(a[::-1])[::-1]
+        pmf = lambda t: (betaln(xs + a[t], rest + tails[t] - a[t])
+                         - betaln(a[t], tails[t] - a[t]))
+        return [(1.0, *chain(pmf))]
+    if env.kind == DETERMINISTIC:
+        return [(1.0, *chain(binomial(env.rows[i, cols])))]
+    return [(float(q), *chain(binomial(comp[i, cols])))
+            for q, comp in zip(env.weights, env.comps)]
+
+
+class _HeightTable:
+    """Tail table tail[h, i, c] = P(S > h) for a type-(i+1) box holding c balls.
+
+    S counts the generations below the box until every descendant holds < j
+    balls: S = 0 for c < j, else S = 1 + the largest S among its children.
+    Rows are added on demand (into a buffer that doubles), each by one pass
+    over the exact split law.  The tail is carried directly, using
+    1 - ab = (1 - a) + a (1 - b), so that 1 - F^N stays accurate for large
+    class sizes N.  No random numbers.
+    """
+
+    def __init__(self, env, j, C):
+        self.j = j
+        self.chains = [_split_pmfs(env, i, C) for i in range(env.K)]
+        r = np.arange(C + 1)[:, None]
+        self._gap = np.maximum(r - r.T, 0)           # r - x, clipped where B is 0
+        self.tail = np.zeros((1, env.K, C + 1))
+        self.tail[0, :, j:] = 1.0
+        self.log_f = self._log1m(self.tail)
+        self.rows = 1
+
+    @staticmethod
+    def _log1m(tail):
+        with np.errstate(divide="ignore"):
+            return np.log1p(-tail)
+
+    def grow(self, rows):
+        """Compute rows up to `rows`: P(S > h+1) from the row for h."""
+        if rows > self.tail.shape[0]:
+            extra = max(rows, 2 * self.tail.shape[0]) - self.tail.shape[0]
+            self.tail = np.concatenate([self.tail, np.zeros((extra,) + self.tail.shape[1:])])
+            self.log_f = np.concatenate([self.log_f, np.zeros((extra,) + self.log_f.shape[1:])])
+        for h in range(self.rows, rows):
+            T = self.tail[h - 1]
+            F = 1.0 - T
+            nxt = self.tail[h]
+            for i, comps in enumerate(self.chains):
+                for weight, steps, last in comps:
+                    g = T[last]                    # tail of the children from here on
+                    for col, B in reversed(steps):
+                        g = B @ T[col] + (B * g[self._gap]) @ F[col]
+                    nxt[i] += weight * g
+            nxt[:, :self.j] = 0.0
+            np.minimum(nxt, 1.0, out=nxt)            # rounding can pass 1 where S > h surely
+            self.log_f[h] = self._log1m(nxt)
+        self.rows = max(self.rows, rows)
+
+    def class_max(self, types, counts, rng, room):
+        """Largest subtree height among frozen boxes (types, counts).
+
+        Each (type, count) class of N boxes draws its maximum with one
+        uniform U: the smallest h with N ln(1 - tail[h]) >= ln U.  The
+        largest class maximum is the first row at which every class is
+        resolved.  Raises DepthCapExceeded past `room` generations.
+        """
+        width = self.tail.shape[2]
+        keys, sizes = np.unique(types * width + counts, return_counts=True)
+        ti, ci = np.divmod(keys, width)
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random(keys.shape[0]))
+        while True:
+            done = (sizes * self.log_f[1:self.rows, ti, ci] >= log_u).all(axis=1)
+            h = int(np.argmax(done)) + 1 if done.any() else self.rows
+            if h > room:
+                raise DepthCapExceeded(f"no termination within {room} generations of a frozen box")
+            if done.any():
+                return h
+            self.grow(min(2 * self.rows, room + 1))
+
+
+@lru_cache(maxsize=32)
+def _height_table(env, j, C):
+    return _HeightTable(env, j, C)
+
+
 def _run_levels(env, m, j, rng, depth_cap, want_height):
-    """Shared level loop; returns (height|None, saturation, expanded, depth)."""
+    """Shared level loop; returns (height|None, saturation, expanded, depth).
+
+    Before G is decided every box is split.  After it, a height run freezes
+    the boxes holding at most C0 balls and takes their subtree heights from
+    the tables; `expanded` counts the boxes split, `depth` the generation
+    where splitting stopped.
+    """
     if m < j:
         return (0 if want_height else None), 0, 0, 0
     types = np.array([0], dtype=np.int64)
@@ -167,13 +298,22 @@ def _run_levels(env, m, j, rng, depth_cap, want_height):
     sat = None
     expanded = 0
     depth = 0
+    frozen = 0                                    # largest depth + S of a frozen box
     while True:
         R = counts.shape[0]                       # boxes holding >= j at this depth
         P = min(sum(per_type), m + 1)             # positive boxes (saturated)
         if sat is None and R < P:
             sat = depth
+        if want_height and sat is not None:
+            small = counts <= C0
+            if small.any():
+                table = _height_table(env, j, min(C0, m))
+                frozen = max(frozen, depth + table.class_max(
+                    types[small], counts[small], rng, depth_cap - depth))
+                types, counts = types[~small], counts[~small]
+                R = counts.shape[0]
         if R == 0:
-            return depth, sat, expanded, depth
+            return max(depth, frozen), sat, expanded, depth
         if not want_height and sat is not None:
             return None, sat, expanded, depth
         if depth >= depth_cap:

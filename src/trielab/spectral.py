@@ -226,9 +226,11 @@ def rate_function(env: EnvironmentModel, z: float) -> float:
 
     z must lie in the closure of attainable drifts; the boundary values are
     handled as one-sided limits.  Vanishes at z = drift(1), the law-of-large-
-    numbers slope.
+    numbers slope.  Dirichlet drifts have no lower end: the smallest-alpha
+    moment blows up as theta -> domain_lo, so the drift tends to -inf there.
     """
-    d_lo = -1.0 / _c_limit(env, -1)
+    bounded = math.isfinite(env.domain_lo)
+    d_lo = -math.inf if bounded else -1.0 / _c_limit(env, -1)
     d_hi = -1.0 / _c_limit(env, +1)
     tol = 1e-9 * max(1.0, abs(z))
     if abs(d_hi - d_lo) <= 1e-12:
@@ -240,9 +242,14 @@ def rate_function(env: EnvironmentModel, z: float) -> float:
         raise ZOutOfRange(f"z = {z!r} outside attainable drifts [{d_lo!r}, {d_hi!r}]")
     z = min(max(z, d_lo), d_hi)        # within tol past an end: that end's value
 
-    lo_t, hi_t = -2.0, 2.0
-    while _eval(env, lo_t)[1] > z and lo_t > -(2.0 ** 14):
-        lo_t *= 2.0
+    lo_t, hi_t = (0.5 * env.domain_lo if bounded else -2.0), 2.0
+    while _eval(env, lo_t)[1] > z and (bounded or lo_t > -(2.0 ** 14)):
+        if not bounded:
+            lo_t *= 2.0
+        elif env.domain_lo < 0.5 * (lo_t + env.domain_lo) < lo_t:
+            lo_t = 0.5 * (lo_t + env.domain_lo)      # halve the distance to domain_lo
+        else:
+            raise ZOutOfRange(f"z = {z!r} lies below the drifts resolvable in float64")
     while _eval(env, hi_t)[1] < z and hi_t < 2.0 ** 14:
         hi_t *= 2.0
     if _eval(env, lo_t)[1] > z or _eval(env, hi_t)[1] < z:

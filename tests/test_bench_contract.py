@@ -6,6 +6,10 @@ per_type_boxes, truncated).  A rename or a changed result type in trielab
 makes the traced run exit non-zero while the untraced run still passes, so
 this test installs the tracer, runs one small command of each traced kind,
 and checks that every per-layer metric comes out.
+
+A traced function that raises leaves a span whose attributes are None, and
+per_layer cannot read it; the second test runs the exact workload's refused
+depth-400 profile and a converge with frozen classes under the tracer.
 """
 
 import importlib.util
@@ -19,6 +23,7 @@ import trielab as tl
 from trielab import cli, oracle
 
 ROOT = Path(__file__).resolve().parent.parent
+MARKOV = "[env]\nkind = deterministic\nK = 2\nrow.1 = 0.9 0.1\nrow.2 = 0.2 0.8\n"
 # run.py computes these from untraced rounds and the set-up runs, not from spans
 NOT_FROM_SPANS = {"cli.workers2_speedup", "envs.import_s", "envs.load_s", "trace.overhead_pct"}
 
@@ -37,8 +42,7 @@ def test_traced_run_finds_every_name_and_metric(tmp_path):
         assert hasattr(module, attr), f"{module.__name__}.{attr} is traced but missing"
 
     env_file = tmp_path / "markov.env"
-    env_file.write_text("[env]\nkind = deterministic\nK = 2\n"
-                        "row.1 = 0.9 0.1\nrow.2 = 0.2 0.8\n", encoding="utf-8")
+    env_file.write_text(MARKOV, encoding="utf-8")
     dirichlet_file = tmp_path / "dirichlet.env"
     dirichlet_file.write_text("[env]\nkind = dirichlet\nK = 2\n"
                               "alpha.1 = 1 1\nalpha.2 = 1 1\n", encoding="utf-8")
@@ -70,3 +74,29 @@ def test_traced_run_finds_every_name_and_metric(tmp_path):
     assert metrics["oracle.words"][0] == 12
     assert metrics["spectral.max_residual"][0] <= 1e-10
     assert time.time() - t0 < 3.0
+
+
+def test_traced_refusals_leave_no_empty_spans(tmp_path):
+    spans = _load_spans()
+    env_file = tmp_path / "markov.env"
+    env_file.write_text(MARKOV, encoding="utf-8")
+    commands = [
+        (("profile", "--depth=400", "--theta-grid=-1:-1:1"), 5),
+        (("profile", "--depth=8", "--theta-grid=-1:2:3"), 0),
+        (("converge", "--m-grid=256:4:3", "--reps=4", "--j=2"), 0),
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (mode, *rest), code in commands:
+            argv = [mode, f"--env={env_file}", f"--out={tmp_path / mode}.csv", "--seed=1", *rest]
+            assert tracer.span("cli.main", cli.main, argv) == code, rest
+    finally:
+        tracer.uninstall()
+
+    annotated = {name for _, _, name, attrs in spans.TRACED if attrs}
+    for name, _, _, _, attrs in tracer.spans:
+        assert name not in annotated or attrs is not None, f"{name} span without attributes"
+    metrics = spans.per_layer(tracer.spans)
+    assert metrics["sim.replicates"][0] == 12
+    assert metrics["sim.enumerate_boxes"][0] == 2 ** 8

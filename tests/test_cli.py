@@ -284,6 +284,27 @@ def test_exit_code_cap_exceeded(tmp_path, iid_env_file):
     assert err.splitlines()[-1].startswith("error: CapExceeded:")
 
 
+def test_profile_refuses_overflowing_level_sums(tmp_path, monkeypatch, capsys):
+    # theta = -1 at depth 400 on Markov [[.9,.1],[.2,.8]]: level sums near
+    # e^844, past float64; refused before any level is enumerated
+    env = tmp_path / "markov.env"
+    env.write_text("[env]\nkind = deterministic\nK = 2\nrow.1 = 0.9 0.1\nrow.2 = 0.2 0.8\n")
+    args = ["profile", f"--env={env}", "--depth=400", f"--out={tmp_path / 'p.csv'}"]
+
+    def enumerated(*_, **__):
+        raise AssertionError("the refused profile reached enumerate_level")
+
+    monkeypatch.setattr(tl.sim, "enumerate_level", enumerated)
+    assert main(args + ["--theta-grid=-1:-1:1"]) == 5
+    assert capsys.readouterr().err.startswith("error: CapExceeded: level sums at depth 400")
+    assert not (tmp_path / "p.csv").exists()
+    monkeypatch.undo()
+    assert main(args + ["--theta-grid=1:3:2"]) == 0
+    rows = (tmp_path / "p.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:3]] == ["1", "3"]
+    assert all(math.isfinite(float(x)) for r in rows[1:3] for x in r.split(","))
+
+
 def test_build_config_validation(iid_env_file):
     with pytest.raises(ConfigError):
         build_config(["converge", "--env", iid_env_file, "--j", "2",

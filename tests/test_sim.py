@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import trielab as tl
+from trielab import sim
 from trielab.errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegime
 from trielab.sim import positive_box_count
 
@@ -102,6 +104,183 @@ def test_power_regime_skewed_slope(env_iid):
         for s in range(30)
     ]
     assert abs(np.mean(heights) / math.log(m) - want) <= 0.20 * want
+
+
+# --------------------------------------------------------------------------
+# frozen classes: subtree-height tables
+# --------------------------------------------------------------------------
+
+SPARSE_ENVS = {
+    "deterministic": lambda: tl.deterministic_env(
+        [[0.5, 0.3, 0.2], [0.6, 0.0, 0.4], [0.0, 0.7, 0.3]]),
+    "dirichlet": lambda: tl.dirichlet_env(
+        [[1.0, 2.0, 0.5], [0.7, 0.0, 1.3], [0.0, 2.0, 1.0]]),
+    "mixture": lambda: tl.mixture_env(
+        [0.3, 0.7],
+        [[[0.5, 0.3, 0.2], [0.6, 0.0, 0.4], [0.0, 0.7, 0.3]],
+         [[0.1, 0.1, 0.8], [0.95, 0.0, 0.05], [0.0, 0.2, 0.8]]]),
+}
+
+
+def _compositions(c, s):
+    if s == 1:
+        yield (c,)
+        return
+    for x in range(c + 1):
+        for rest in _compositions(c - x, s - 1):
+            yield (x,) + rest
+
+
+def _multinomial(comp):
+    coef, left = 1, sum(comp)
+    for x in comp:
+        coef *= math.comb(left, x)
+        left -= x
+    return coef
+
+
+def _split_law(env, i, c):
+    """(probability, {child type: count}) over every split of c balls."""
+    cols = [int(k) for k in env.supported_cols[i]]
+    law = []
+    for comp in _compositions(c, len(cols)):
+        coef = _multinomial(comp)
+        if env.kind == "deterministic":
+            p = coef * math.prod(env.rows[i, k] ** x for k, x in zip(cols, comp))
+        elif env.kind == "dirichlet":
+            a = [env.alpha[i, k] for k in cols]
+            p = coef * math.exp(math.lgamma(sum(a)) - math.lgamma(c + sum(a)) + sum(
+                math.lgamma(x + ak) - math.lgamma(ak) for x, ak in zip(comp, a)))
+        else:
+            p = sum(q * coef * math.prod(rows[i, k] ** x for k, x in zip(cols, comp))
+                    for q, rows in zip(env.weights, env.comps))
+        law.append((p, dict(zip(cols, comp))))
+    return law
+
+
+def _enumerated_tails(env, j, C, rows):
+    """P(S > h) for h < rows, by summing over every split of every box."""
+    laws = {(i, c): _split_law(env, i, c) for i in range(env.K) for c in range(C + 1)}
+    F = {(i, c): float(c < j) for i in range(env.K) for c in range(C + 1)}
+    tails = [F]
+    for _ in range(rows - 1):
+        F = {(i, c): 1.0 if c < j else sum(
+                 p * math.prod(F[(k, x)] for k, x in split.items()) for p, split in laws[(i, c)])
+             for (i, c) in F}
+        tails.append(F)
+    return [{key: 1.0 - f for key, f in F.items()} for F in tails]
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_ENVS))
+@pytest.mark.parametrize("j", [2, 3])
+def test_height_table_matches_enumerated_splits(kind, j):
+    env = SPARSE_ENVS[kind]()
+    C, rows = 6, 8
+    table = sim._HeightTable(env, j, C)
+    table.grow(rows)
+    want = _enumerated_tails(env, j, C, rows)
+    for h in range(rows):
+        for (i, c), tail in want[h].items():
+            assert table.tail[h, i, c] == pytest.approx(tail, abs=1e-13), (h, i, c)
+    assert (np.diff(table.tail[:rows], axis=0) <= 0).all()
+
+
+def test_class_max_follows_the_enumerated_law():
+    # classes of 50 type-1 boxes holding 4 balls and 7 type-2 boxes holding
+    # 6: the largest subtree height S has P(S <= h) = F_14(h)^50 F_26(h)^7
+    env = SPARSE_ENVS["deterministic"]()
+    C, rows, draws = 6, 40, 4000
+    tails = _enumerated_tails(env, 2, C, rows)
+    cdf = np.array([(1 - t[(0, 4)]) ** 50 * (1 - t[(1, 6)]) ** 7 for t in tails])
+    assert cdf[-1] > 1 - 1e-9
+    types = np.array([0] * 50 + [1] * 7)
+    counts = np.array([4] * 50 + [6] * 7)
+    table = sim._HeightTable(env, 2, C)
+    rng = rng_of(17)
+    got = np.bincount([table.class_max(types, counts, rng, rows - 1) for _ in range(draws)],
+                      minlength=rows)
+    want = np.diff(cdf, prepend=0.0) * draws
+    thick = want >= 10
+    f_obs = np.append(got[thick], got[~thick].sum())
+    f_exp = np.append(want[thick], want[~thick].sum())
+    f_exp *= f_obs.sum() / f_exp.sum()
+    assert stats.chisquare(f_obs, f_exp).pvalue > 0.001
+
+
+def _full_expansion(env, m, j, rng):
+    """(H, G) from the level loop that splits every box to the last generation."""
+    types = np.array([0], dtype=np.int64)
+    counts = np.array([m], dtype=np.int64)
+    per_type = [1 if i == 0 else 0 for i in range(env.K)]
+    sat = None
+    depth = 0
+    while True:
+        R = counts.shape[0]
+        P = min(sum(per_type), m + 1)
+        if sat is None and R < P:
+            sat = depth
+        if R == 0:
+            return depth, sat
+        ctypes, ccounts = sim._children(env, types, counts, rng)
+        keep = ccounts >= j
+        types, counts = ctypes[keep], ccounts[keep]
+        per_type = sim._advance_positive(env, per_type, m + 1)
+        depth += 1
+
+
+def _pooled_table(a, b):
+    """2 x cells counts; cells under 10 in both samples together pool into one."""
+    table, spill = [[], []], [0, 0]
+    for key in sorted(set(a) | set(b)):
+        x, y = a.get(key, 0), b.get(key, 0)
+        if x + y >= 10:
+            table[0].append(x)
+            table[1].append(y)
+        else:
+            spill[0] += x
+            spill[1] += y
+    if sum(spill):
+        table[0].append(spill[0])
+        table[1].append(spill[1])
+    return np.array(table)
+
+
+LAW_ENVS = {
+    "iid": lambda: tl.deterministic_env([[0.7, 0.3], [0.7, 0.3]]),
+    "markov": lambda: tl.deterministic_env([[0.9, 0.1], [0.2, 0.8]]),
+    "dirichlet": lambda: tl.dirichlet_env([[1.0, 1.0], [1.0, 1.0]]),
+    "mixture": lambda: tl.mixture_env(
+        [0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.9, 0.1]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_ENVS))
+@pytest.mark.parametrize("m,j", [(40, 2), (2000, 2), (2000, 8)])
+def test_frozen_classes_keep_the_joint_law(name, m, j):
+    env = LAW_ENVS[name]()
+    runs = 300
+    seed = (m, j, sorted(LAW_ENVS).index(name))
+    new, old = {}, {}
+    for k in range(runs):
+        obs = tl.simulate_occupancy(env, m, j, rng_of((1, *seed, k)))
+        assert obs.saturation <= obs.height
+        key = (obs.height, obs.saturation)
+        new[key] = new.get(key, 0) + 1
+        key = _full_expansion(env, m, j, rng_of((2, *seed, k)))
+        old[key] = old.get(key, 0) + 1
+    _, p, _, _ = stats.chi2_contingency(_pooled_table(new, old))
+    assert p > 0.001
+
+
+def test_frozen_draws_honour_the_depth_cap(env_iid):
+    # m = 40 freezes every box once G is decided, a few generations in, so
+    # the height comes from the tables alone
+    obs = tl.simulate_occupancy(env_iid, 40, 2, rng_of(5))
+    assert obs.max_depth_reached < obs.height - 1
+    again = tl.simulate_occupancy(env_iid, 40, 2, rng_of(5), depth_cap=obs.height)
+    assert (again.height, again.saturation) == (obs.height, obs.saturation)
+    with pytest.raises(DepthCapExceeded):
+        tl.simulate_occupancy(env_iid, 40, 2, rng_of(5), depth_cap=obs.height - 1)
 
 
 # --------------------------------------------------------------------------

@@ -217,6 +217,16 @@ def test_rate_mixture_range_ends_are_exact(env_mixture):
             env_mixture, end)
 
 
+def test_rate_dirichlet_matches_closed_form(env_dirichlet):
+    # rho(theta) = 2 / (1 + theta) gives drift -1/(1 + theta), unbounded
+    # below as theta -> -1, and I(z) = -1 - 2z - ln(-2z) on z < 0
+    for z in (-3.0, -1.0, -0.5, -0.2):
+        want = -1.0 - 2.0 * z - math.log(-2.0 * z)
+        assert tl.rate_function(env_dirichlet, z) == pytest.approx(want, abs=1e-9)
+    with pytest.raises(ZOutOfRange):
+        tl.rate_function(env_dirichlet, 0.1)
+
+
 def test_rate_out_of_range(env_iid):
     with pytest.raises(ZOutOfRange):
         tl.rate_function(env_iid, math.log(0.7) + 0.1)
