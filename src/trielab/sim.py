@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import betaln, gammaln, xlog1py, xlogy
 
+from . import spectral
 from .envs import DETERMINISTIC, DIRICHLET, EnvironmentModel
 from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegime
 
@@ -139,32 +140,33 @@ def _split_counts(counts, rows, rng):
     return out
 
 
-def _children(env, types, counts, rng):
-    """Split every box; returns child types and counts (all supported children)."""
+def _expand(env, types, values, rng, split):
+    """Children of every box, type by type: (child types, child values).
+
+    The boxes of one type draw their rows in one _draw_rows call, and
+    split(values, rows, rng) gives each box one value per supported child,
+    in the order of supported_cols.
+    """
     child_types = []
-    child_counts = []
+    child_values = []
     for i in range(env.K):
         mask = types == i
         ni = int(mask.sum())
         if ni == 0:
             continue
         cols = env.supported_cols[i]
-        rows = _draw_rows(env, i, ni, rng)
-        split = _split_counts(counts[mask], rows, rng)
+        block = split(values[mask], _draw_rows(env, i, ni, rng), rng)
         child_types.append(np.broadcast_to(cols, (ni, len(cols))).ravel())
-        child_counts.append(split.ravel())
-    return np.concatenate(child_types), np.concatenate(child_counts)
+        child_values.append(block.ravel())
+    return np.concatenate(child_types), np.concatenate(child_values)
 
 
-def _advance_positive(env, per_type, cap):
-    """One support step of the exact positive-box counts, saturated at cap."""
-    out = [0] * env.K
-    for i in range(env.K):
-        if per_type[i] == 0:
-            continue
-        for j in env.supported_cols[i]:
-            out[j] = min(out[j] + per_type[i], cap)
-    return out
+def _advance_positive(support, per_type, cap):
+    """One support step of the per-type positive-box counts, saturated at cap.
+
+    `support` is the environment's support pattern as an int64 matrix.
+    """
+    return np.minimum(per_type @ support, cap)
 
 
 def _split_pmfs(env, i, C):
@@ -294,14 +296,15 @@ def _run_levels(env, m, j, rng, depth_cap, want_height):
         return (0 if want_height else None), 0, 0, 0
     types = np.array([0], dtype=np.int64)
     counts = np.array([m], dtype=np.int64)
-    per_type = [1 if i == 0 else 0 for i in range(env.K)]
+    support = env.support.astype(np.int64)
+    per_type = np.eye(env.K, dtype=np.int64)[0]
     sat = None
     expanded = 0
     depth = 0
     frozen = 0                                    # largest depth + S of a frozen box
     while True:
         R = counts.shape[0]                       # boxes holding >= j at this depth
-        P = min(sum(per_type), m + 1)             # positive boxes (saturated)
+        P = min(int(per_type.sum()), m + 1)       # positive boxes (saturated)
         if sat is None and R < P:
             sat = depth
         if want_height and sat is not None:
@@ -319,11 +322,11 @@ def _run_levels(env, m, j, rng, depth_cap, want_height):
         if depth >= depth_cap:
             raise DepthCapExceeded(f"no termination within {depth_cap} generations")
         expanded += R
-        ctypes, ccounts = _children(env, types, counts, rng)
+        ctypes, ccounts = _expand(env, types, counts, rng, _split_counts)
         keep = ccounts >= j
         types = ctypes[keep]
         counts = ccounts[keep]
-        per_type = _advance_positive(env, per_type, m + 1)
+        per_type = _advance_positive(support, per_type, m + 1)
         depth += 1
 
 
@@ -385,17 +388,20 @@ def simulate_power_regime(
 # level enumeration
 # --------------------------------------------------------------------------
 
-def positive_box_count(env: EnvironmentModel, n: int) -> int:
-    """Exact number of positive-mass boxes at generation n (support paths)."""
-    per_type = [1 if i == 0 else 0 for i in range(env.K)]
+def positive_box_count(env: EnvironmentModel, n: int, cap: int) -> int:
+    """Number of positive-mass boxes at generation n, saturated at cap + 1.
+
+    Every row supports at least two types, so the count at least doubles
+    each generation; the walk stops once it passes cap.
+    """
+    support = env.support.astype(np.int64)
+    per_type = np.eye(env.K, dtype=np.int64)[0]
+    cap = min(cap, np.iinfo(np.int64).max // (2 * env.K))   # one step past cap fits int64
     for _ in range(n):
-        nxt = [0] * env.K
-        for i in range(env.K):
-            if per_type[i]:
-                for j in env.supported_cols[i]:
-                    nxt[j] += per_type[i]
-        per_type = nxt
-    return sum(per_type)
+        if per_type.sum() > cap:
+            break
+        per_type = _advance_positive(support, per_type, cap + 1)
+    return int(min(per_type.sum(), cap + 1))
 
 
 def _enumerate_boxes(env, n, rng):
@@ -403,44 +409,26 @@ def _enumerate_boxes(env, n, rng):
     types = np.array([0], dtype=np.int64)
     logs = np.array([0.0])
     for _ in range(n):
-        new_t = []
-        new_l = []
-        for i in range(env.K):
-            mask = types == i
-            ni = int(mask.sum())
-            if ni == 0:
-                continue
-            cols = env.supported_cols[i]
-            rows = _draw_rows(env, i, ni, rng)
-            lrows = np.log(rows)
-            if lrows.ndim == 1:
-                block = logs[mask][:, None] + lrows[None, :]
-            else:
-                block = logs[mask][:, None] + lrows
-            new_t.append(np.broadcast_to(cols, (ni, len(cols))).ravel())
-            new_l.append(block.ravel())
-        types = np.concatenate(new_t)
-        logs = np.concatenate(new_l)
+        types, logs = _expand(env, types, logs, rng,
+                              lambda parent, rows, _: parent[:, None] + np.log(rows))
     return types, logs
 
 
 def _extreme_paths(env, n):
-    """Min/max ln mass over support paths of length n (deterministic only)."""
-    lnrow = np.where(env.support, np.log(np.where(env.support, env.rows, 1.0)), np.nan)
-    hi = np.full(env.K, -np.inf)
-    lo = np.full(env.K, np.inf)
-    hi[0] = lo[0] = 0.0
+    """Min/max ln mass over support paths of length n (deterministic only).
+
+    Max-plus vector steps: hi tracks the heaviest path into each type, and
+    -lo the heaviest path under the negated log-masses.
+    """
+    lnrow = np.log(np.where(env.support, env.rows, 1.0))
+    up = np.where(env.support, lnrow, -np.inf)
+    down = np.where(env.support, -lnrow, -np.inf)
+    hi = np.where(np.arange(env.K) == 0, 0.0, -np.inf)[None, :]
+    neg_lo = hi
     for _ in range(n):
-        nhi = np.full(env.K, -np.inf)
-        nlo = np.full(env.K, np.inf)
-        for i in range(env.K):
-            if not np.isfinite(hi[i]) and not np.isfinite(lo[i]):
-                continue
-            for j in env.supported_cols[i]:
-                nhi[j] = max(nhi[j], hi[i] + lnrow[i, j])
-                nlo[j] = min(nlo[j], lo[i] + lnrow[i, j])
-        hi, lo = nhi, nlo
-    return float(lo[np.isfinite(lo)].min()), float(hi[np.isfinite(hi)].max())
+        hi = spectral._maxplus(hi, up)
+        neg_lo = spectral._maxplus(neg_lo, down)
+    return -float(neg_lo.max()), float(hi.max())
 
 
 def enumerate_level(
@@ -458,59 +446,48 @@ def enumerate_level(
     environment falls back to dynamic-programming extremes plus matrix-power
     tilted sums (truncated=True, no per-box data); a random environment cannot
     be pruned (every box carries an independent row) and raises CapExceeded.
+    So does a tilted sum or martingale value that leaves float64's range.
     """
-    from . import spectral
-
     if rng is None:
         if not env.is_deterministic:
             raise ValueError("random environments need an rng to realize the cascade")
         rng = np.random.default_rng(0)
-    boxes = positive_box_count(env, n)
-    if boxes > cap:
+    truncated = positive_box_count(env, n, cap) > cap
+    window_counts = {}
+    if truncated:
         if not env.is_deterministic:
-            raise CapExceeded(
-                f"{boxes} boxes at generation {n} exceed cap {cap}; a random "
-                "cascade cannot be pruned"
-            )
+            raise CapExceeded(f"more than {cap} boxes at generation {n}; a random "
+                              "cascade cannot be pruned")
         lo, hi = _extreme_paths(env, n)
-        laplace = {}
-        martingale = {}
-        for theta in theta_list:
-            tm = spectral.tilted_matrix(env, theta)
-            vec = np.linalg.matrix_power(tm.entries, n)[0]
-            laplace[theta] = vec
-            pt = spectral.shape_values(env, theta)
-            trip = spectral.perron_triplet(tm)
-            martingale[theta] = float(
-                (trip.v / trip.v[0]) @ vec * math.exp(-n * pt.log_rho)
-            )
-        return LevelProfile(
-            n=n, per_type_boxes=[np.array([]) for _ in range(env.K)],
-            laplace=laplace, min_log_size=-lo, max_log_size=-hi,
-            window_counts={}, martingale=martingale, truncated=True,
-        )
-
-    types, logs = _enumerate_boxes(env, n, rng)
-    per_type = [np.sort(-logs[types == i]) for i in range(env.K)]
-    laplace = {}
+        per_type = [np.array([]) for _ in range(env.K)]
+        laplace = {theta: np.linalg.matrix_power(spectral.tilted_matrix(env, theta).entries, n)[0]
+                   for theta in theta_list}
+    else:
+        types, logs = _enumerate_boxes(env, n, rng)
+        lo, hi = logs.min(), logs.max()
+        per_type = [np.sort(-logs[types == i]) for i in range(env.K)]
+        laplace = {theta: np.bincount(types, weights=np.exp(theta * logs), minlength=env.K)
+                   for theta in theta_list}
+        for theta, a, b in windows:
+            drift = spectral.shape_values(env, theta).drift
+            lo_edge = n * drift - a
+            hi_edge = n * drift - b
+            window_counts[(theta, a, b)] = int(((logs >= lo_edge) & (logs <= hi_edge)).sum())
     martingale = {}
-    for theta in theta_list:
-        weights = np.exp(theta * logs)
-        vec = np.bincount(types, weights=weights, minlength=env.K)
-        laplace[theta] = vec
+    for theta, vec in laplace.items():
         pt = spectral.shape_values(env, theta)
         v = spectral.perron_triplet(spectral.tilted_matrix(env, theta)).v
-        martingale[theta] = float((v / v[0]) @ vec * math.exp(-n * pt.log_rho))
-    window_counts = {}
-    for theta, a, b in windows:
-        drift = spectral.shape_values(env, theta).drift
-        lo_edge = n * drift - a
-        hi_edge = n * drift - b
-        window_counts[(theta, a, b)] = int(((logs >= lo_edge) & (logs <= hi_edge)).sum())
+        try:
+            martingale[theta] = float((v / v[0]) @ vec * math.exp(-n * pt.log_rho))
+        except OverflowError:                     # rho^-n past float64
+            martingale[theta] = math.inf
+        if not (np.isfinite(vec).all() and math.isfinite(martingale[theta])):
+            raise CapExceeded(f"level sums at generation {n}, theta = {theta!r} leave "
+                              "the float64 range")
     return LevelProfile(
         n=n, per_type_boxes=per_type, laplace=laplace,
-        min_log_size=float(-logs.min()), max_log_size=float(-logs.max()),
-        window_counts=window_counts, martingale=martingale, truncated=False,
+        min_log_size=float(-lo), max_log_size=float(-hi),
+        window_counts=window_counts, martingale=martingale, truncated=truncated,
     )
 
 
@@ -549,9 +526,8 @@ def coupon_time(
     """Throw balls until every positive generation-n box holds >= j of them."""
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
-    boxes = positive_box_count(env, n)
-    if boxes > COUPON_BOX_CAP:
-        raise CapExceeded(f"{boxes} boxes at generation {n} exceed {COUPON_BOX_CAP}")
+    if positive_box_count(env, n, COUPON_BOX_CAP) > COUPON_BOX_CAP:
+        raise CapExceeded(f"more than {COUPON_BOX_CAP} boxes at generation {n}")
     _, logs = _enumerate_boxes(env, n, rng)
     masses = np.exp(logs)
     cum = np.cumsum(masses)

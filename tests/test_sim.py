@@ -1,14 +1,23 @@
 """Occupancy simulator: heights, saturation, level profiles, walks, coupons."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import trielab as tl
 from trielab import sim
-from trielab.errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegime
+from trielab.errors import (
+    CapExceeded,
+    DepthCapExceeded,
+    HeightUndefined,
+    NotRegular,
+    OutsideRegime,
+)
 from trielab.sim import positive_box_count
 
 LN2 = math.log(2.0)
@@ -211,7 +220,8 @@ def _full_expansion(env, m, j, rng):
     """(H, G) from the level loop that splits every box to the last generation."""
     types = np.array([0], dtype=np.int64)
     counts = np.array([m], dtype=np.int64)
-    per_type = [1 if i == 0 else 0 for i in range(env.K)]
+    support = env.support.astype(np.int64)
+    per_type = np.eye(env.K, dtype=np.int64)[0]
     sat = None
     depth = 0
     while True:
@@ -221,10 +231,10 @@ def _full_expansion(env, m, j, rng):
             sat = depth
         if R == 0:
             return depth, sat
-        ctypes, ccounts = sim._children(env, types, counts, rng)
+        ctypes, ccounts = sim._expand(env, types, counts, rng, sim._split_counts)
         keep = ccounts >= j
         types, counts = ctypes[keep], ccounts[keep]
-        per_type = sim._advance_positive(env, per_type, m + 1)
+        per_type = sim._advance_positive(support, per_type, m + 1)
         depth += 1
 
 
@@ -355,6 +365,51 @@ def test_truncated_profile_uses_pruned_extremes(env_iid):
     assert np.allclose(prof.laplace[2.0], want, rtol=1e-9)
 
 
+def test_truncated_profile_refuses_sums_outside_float64(env_markov):
+    # theta = -1 at depth 400: level sums near e^844, past float64; theta = 3
+    # at depth 3000: sums below float64 and rho^-n above it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, theta in ((400, -1.0), (3000, 3.0)):
+            with pytest.raises(CapExceeded, match="float64"):
+                tl.enumerate_level(env_markov, n, theta_list=[1.0, theta])
+    prof = tl.enumerate_level(env_markov, 400, theta_list=[1.0, 3.0])
+    assert prof.truncated
+    for theta in (1.0, 3.0):
+        assert np.isfinite(prof.laplace[theta]).all()
+        assert math.isfinite(prof.martingale[theta])
+
+
+@st.composite
+def positive_regular_envs(draw):
+    """Deterministic environments on random positive-regular supports, K <= 4."""
+    K = draw(st.integers(2, 4))
+    support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=K, max_size=K),
+                                     min_size=K, max_size=K)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=K * K,
+                                     max_size=K * K))).reshape(K, K)
+    rows = np.where(support, weights, 0.0)
+    assume((support.sum(axis=1) >= 2).all())
+    try:
+        return tl.deterministic_env(rows / rows.sum(axis=1, keepdims=True))
+    except NotRegular:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(env=positive_regular_envs(), n=st.integers(0, 12), cap=st.integers(1, 10 ** 6))
+def test_level_walks_match_exact_support_paths(env, n, cap):
+    paths = np.linalg.matrix_power(env.support.astype(object), n)[0].sum()
+    assert positive_box_count(env, n, cap) == min(paths, cap + 1)
+    assert positive_box_count(env, n, 10 ** 30) == paths
+    short = min(n, 7)
+    _, logs = sim._enumerate_boxes(env, short, rng_of(0))
+    assert sim._extreme_paths(env, short) == (logs.min(), logs.max())
+    start = time.perf_counter()
+    assert positive_box_count(env, 300_000, 2 ** 20) == 2 ** 20 + 1
+    assert time.perf_counter() - start < 0.1
+
+
 def test_random_env_over_cap_raises(env_dirichlet):
     with pytest.raises(CapExceeded):
         tl.enumerate_level(env_dirichlet, 24, cap=1000, rng=rng_of(0))
@@ -448,4 +503,4 @@ def test_coupon_growth_rate_matches_smallest_box(env_iid):
 
 def test_coupon_minimum_throws(env_markov):
     out = tl.coupon_time(env_markov, 2, 3, rng_of(1))
-    assert out.throws >= 3 * positive_box_count(env_markov, 2)
+    assert out.throws >= 3 * positive_box_count(env_markov, 2, sim.COUPON_BOX_CAP)
