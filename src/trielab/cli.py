@@ -90,8 +90,10 @@ class ExperimentConfig:
         if self.m_grid:
             if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
                 raise ConfigError("m grid must be strictly increasing (factor > 1)")
-        if self.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {self.workers}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.workers <= cpus:
+            raise ConfigError(f"--workers must lie in 1..{cpus} (the CPU count), "
+                              f"got {self.workers}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"--format must be csv or json, got {self.out_format!r}")
 

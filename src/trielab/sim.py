@@ -43,7 +43,8 @@ from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegim
 DEFAULT_DEPTH_CAP = 10_000
 COUPON_BOX_CAP = 1_000_000
 C0 = 64                   # largest ball count a height run resolves from tables
-_COUPON_BATCH = 2048
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_POISSON_LAM_MAX = _INT64_MAX - 10 * math.sqrt(_INT64_MAX)   # numpy's Generator.poisson limit
 
 
 @dataclass
@@ -523,27 +524,25 @@ def coupon_time(
     j: int,
     rng: np.random.Generator,
 ) -> CouponOutcome:
-    """Throw balls until every positive generation-n box holds >= j of them."""
+    """Throws needed until every positive generation-n box holds >= j balls.
+
+    Exact in O(boxes), by Poissonization (Flajolet, Gardy & Thimonier, 1992):
+    with throws arriving at unit rate, box i gets its j-th ball at tau_i =
+    Gamma(j, 1) / p_i, independently.  At T = max tau_i each other box holds
+    j + Poisson(p_i (T - tau_i)) balls, as its arrivals after tau_i are fresh.
+    """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     if positive_box_count(env, n, COUPON_BOX_CAP) > COUPON_BOX_CAP:
         raise CapExceeded(f"more than {COUPON_BOX_CAP} boxes at generation {n}")
     _, logs = _enumerate_boxes(env, n, rng)
-    masses = np.exp(logs)
-    cum = np.cumsum(masses)
-    cum /= cum[-1]
-    counts = np.zeros(len(masses), dtype=np.int64)
-    thrown = 0
-    while True:
-        idx = np.searchsorted(cum, rng.random(_COUPON_BATCH), side="right")
-        np.add.at(counts, idx, 1)
-        if counts.min() >= j:
-            np.subtract.at(counts, idx, 1)
-            short = int((counts < j).sum())
-            for pos, k in enumerate(idx):
-                counts[k] += 1
-                if counts[k] == j:
-                    short -= 1
-                    if short == 0:
-                        return CouponOutcome(n=n, j=j, throws=thrown + pos + 1)
-        thrown += _COUPON_BATCH
+    logs -= np.logaddexp.reduce(logs)
+    log_tau = np.log(rng.standard_gamma(j, size=logs.shape[0])) - logs
+    last = int(np.argmax(log_tau))
+    log_p, gap = np.delete(logs, last), np.delete(log_tau, last) - log_tau[last]
+    lam = np.exp(log_p + log_tau[last] + np.log1p(-np.exp(gap)))   # p_i (T - tau_i)
+    drawable = (lam <= _POISSON_LAM_MAX).all()          # False on inf and nan too
+    throws = j * logs.shape[0] + sum(rng.poisson(lam).tolist()) if drawable else math.inf
+    if throws > _INT64_MAX:
+        raise CapExceeded(f"the coupon time at generation {n} passes the int64 range")
+    return CouponOutcome(n=n, j=j, throws=throws)

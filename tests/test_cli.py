@@ -224,6 +224,30 @@ def test_exit_code_config_error(tmp_path, iid_env_file):
     assert err.splitlines()[-1].startswith("error: ConfigError:")
 
 
+def test_workers_above_cpu_count_are_refused(tmp_path, iid_env_file, monkeypatch, capsys):
+    def pool(*_, **__):
+        raise AssertionError("a refused --workers value started a pool")
+
+    monkeypatch.setattr(tl.cli, "ProcessPoolExecutor", pool)
+    out = tmp_path / "w.csv"
+    workers = str(os.cpu_count() + 1)
+    assert main(converge_args(iid_env_file, str(out), ("--workers", workers))) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError: --workers must lie in")
+    assert not out.exists()
+
+
+def test_exit_code_coupon_past_int64(tmp_path):
+    # a box of mass 1e-21 at depth 7: the other boxes' Poisson means pass
+    # what numpy can draw, so the count is refused, not wrapped or crashed
+    env = tmp_path / "skew.env"
+    env.write_text("[env]\nkind = deterministic\nK = 2\nrow.1 = 0.999 0.001\n"
+                   "row.2 = 0.999 0.001\n")
+    code, err = run_cli(["coupon", "--env", str(env), "--depth", "7", "--reps", "2",
+                         "--out", str(tmp_path / "c.csv")])
+    assert code == 5
+    assert err.splitlines()[-1].startswith("error: CapExceeded: the coupon time at generation 7")
+
+
 def test_exit_code_bad_env(tmp_path):
     bad = tmp_path / "bad.env"
     bad.write_text("[env]\nkind = deterministic\nK = 2\nrow.1 = 0.7 0.4\nrow.2 = 0.5 0.5\n")

@@ -46,9 +46,9 @@ RUNS = {
 
 DIGESTS = {
     "coupon-dirichlet.json":
-        "2d9c4efe690751f566ce472dccd5afbe357eec4b56db631ce40319595a9e8a2d",
+        "eeebc5eed4f671ee714aa2bb81b55ec8ca4447a16e34591b03b77db516d86823",
     "coupon-markov.csv":
-        "ae32f8d387b03a637997abe9907a52e8ddf46be02fd05e488ceea0b519f86fe5",
+        "5c6f1efee139a6f114112e24e6d45f49597271f0e4cdc3b6c792ee718b2b8997",
     "power-iid.csv":
         "2c8e6a6f64e41e263230f025c3315d291f36258f99ee551e5d054313c092c409",
     "profile-dirichlet.json":

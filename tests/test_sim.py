@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, special, stats
 
 import trielab as tl
 from trielab import sim
@@ -504,3 +504,102 @@ def test_coupon_growth_rate_matches_smallest_box(env_iid):
 def test_coupon_minimum_throws(env_markov):
     out = tl.coupon_time(env_markov, 2, 3, rng_of(1))
     assert out.throws >= 3 * positive_box_count(env_markov, 2, sim.COUPON_BOX_CAP)
+
+
+def _thrown_coupon_time(env, n, j, rng):
+    """Reference: throw balls in batches of 2048 until every box holds >= j."""
+    _, logs = sim._enumerate_boxes(env, n, rng)
+    cum = np.cumsum(np.exp(logs))
+    cum /= cum[-1]
+    counts = np.zeros(len(cum), dtype=np.int64)
+    thrown = 0
+    while True:
+        idx = np.searchsorted(cum, rng.random(2048), side="right")
+        np.add.at(counts, idx, 1)
+        if counts.min() >= j:
+            np.subtract.at(counts, idx, 1)
+            short = int((counts < j).sum())
+            for pos, k in enumerate(idx):
+                counts[k] += 1
+                if counts[k] == j:
+                    short -= 1
+                    if short == 0:
+                        return thrown + pos + 1
+        thrown += 2048
+
+
+COUPON_ENVS = {
+    "deterministic": SPARSE_ENVS["deterministic"],
+    "dirichlet": lambda: tl.dirichlet_env(
+        [[2.0, 3.0, 1.5], [1.5, 0.0, 2.5], [0.0, 3.0, 2.0]]),
+    "mixture": SPARSE_ENVS["mixture"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COUPON_ENVS))
+@pytest.mark.parametrize("j", [1, 2])
+def test_coupon_sampler_matches_the_thrower(kind, j):
+    # deciles of the pooled throw counts as cells; the sampler must take no
+    # log of zero, so the box that fills last gets no Poisson mean
+    env = COUPON_ENVS[kind]()
+    n, runs = 3, 1500
+    seed = (j, sorted(COUPON_ENVS).index(kind))
+    with np.errstate(divide="raise", invalid="raise"):
+        new = np.array([tl.coupon_time(env, n, j, rng_of((1, *seed, k))).throws
+                        for k in range(runs)])
+    old = np.array([_thrown_coupon_time(env, n, j, rng_of((2, *seed, k)))
+                    for k in range(runs)])
+    edges = np.unique(np.quantile(np.concatenate([new, old]), np.linspace(0, 1, 11)[1:-1]))
+    table = [np.bincount(np.searchsorted(edges, x, side="right"), minlength=len(edges) + 1)
+             for x in (new, old)]
+    _, p, _, _ = stats.chi2_contingency(np.array(table))
+    assert p > 0.001
+
+
+def _coupon_moments(masses, j):
+    """Exact mean and variance of the coupon time over boxes of these masses.
+
+    Poissonized, box counts at time t are independent Poisson(p_i t); with
+    F(t) = prod_i P(Poisson(p_i t) >= j), the completion time S has
+    E[S] = int 1 - F and E[S^2] = int 2t (1 - F), and given T throws S is
+    Gamma(T, 1), so E[T] = E[S] and E[T (T + 1)] = E[S^2].
+    """
+    def gap(t):
+        with np.errstate(divide="ignore"):
+            return -math.expm1(np.log(special.gammainc(j, masses * t)).sum())
+
+    end = (math.log(len(masses)) + j + 50.0) / masses.min()
+    edges = np.concatenate([[0.0], np.geomspace(0.01 / masses.max(), end, 200)])
+    first = sum(integrate.quad(gap, a, b, limit=200)[0] for a, b in zip(edges, edges[1:]))
+    second = sum(integrate.quad(lambda t: 2.0 * t * gap(t), a, b, limit=200)[0]
+                 for a, b in zip(edges, edges[1:]))
+    return first, second - first - first * first
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_coupon_mean_matches_the_poissonized_integral(j, env_markov):
+    for env, n in ((COUPON_ENVS["deterministic"](), 4), (env_markov, 3)):
+        masses = np.exp(sim._enumerate_boxes(env, n, rng_of(0))[1])
+        want, var = _coupon_moments(masses, j)
+        runs = 4000
+        rng = rng_of((3, j, n))
+        throws = np.array([tl.coupon_time(env, n, j, rng).throws for _ in range(runs)])
+        assert abs(throws.mean() - want) <= 5 * math.sqrt(var / runs), (n, j)
+
+
+def test_coupon_refuses_counts_past_int64(env_dirichlet):
+    # uniform Dirichlet scenery at depth 10: the median call needs about
+    # 2e9 throws, and is still drawn in O(boxes)
+    calls = []
+    for seed in range(5):
+        start = time.perf_counter()
+        assert tl.coupon_time(env_dirichlet, 10, 1, rng_of(seed)).throws >= 1024
+        calls.append(time.perf_counter() - start)
+    assert np.median(calls) < 0.01
+    # depth 19: the smallest box has -ln p near 46, and the sum passes int64
+    with pytest.raises(CapExceeded, match="generation 19"):
+        tl.coupon_time(env_dirichlet, 19, 1, rng_of(0))
+    # a box of mass 1e-21: single Poisson means pass what numpy can draw
+    skew = tl.deterministic_env([[0.999, 0.001], [0.999, 0.001]])
+    with pytest.raises(CapExceeded, match="generation 7"):
+        tl.coupon_time(skew, 7, 1, rng_of(0))
