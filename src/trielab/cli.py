@@ -58,6 +58,9 @@ from .errors import (
 
 MODES = ("spectral", "simulate", "converge", "profile", "coupon")
 _ENV_SEED_VAR = "TRIELAB_SEED"
+# memory budget of one simulated level: a generation holds at most m/j boxes
+# with >= j balls, and their children take up to m/j x K int64 counts
+LEVEL_BYTES = 2 ** 26
 
 
 @dataclass
@@ -76,7 +79,10 @@ class ExperimentConfig:
     out_path: str = ""
     out_format: str = "csv"
 
-    def validate(self) -> None:
+    def validate(self, K: Optional[int] = None) -> None:
+        """Refuse invalid settings (ConfigError).  Given the alphabet size K,
+        also refuse m grid points whose levels could pass LEVEL_BYTES
+        (CapExceeded), before anything is simulated."""
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.j is not None and self.alpha is not None:
@@ -96,6 +102,15 @@ class ExperimentConfig:
                               f"got {self.workers}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"--format must be csv or json, got {self.out_format!r}")
+        if K is not None and self.mode in ("simulate", "converge"):
+            for m in self.m_grid:
+                j = (self.j or 1) if self.alpha is None else max(2, math.ceil(m ** self.alpha))
+                boxes = -(-m // j)
+                if boxes * K * 8 > LEVEL_BYTES:
+                    raise CapExceeded(
+                        f"m = {m} with j = {j} and K = {K}: a level could hold {boxes} x {K} "
+                        f"int64 child counts, past the {LEVEL_BYTES} byte budget"
+                    )
 
 
 @dataclass
@@ -474,7 +489,10 @@ def _parse_m_grid(text: str) -> list:
         raise ConfigError(f"--m-grid must be START:FACTOR:COUNT, got {text!r}") from None
     if start < 1 or count < 1 or factor <= 1.0:
         raise ConfigError(f"--m-grid needs start >= 1, count >= 1, factor > 1, got {text!r}")
-    return [int(round(start * factor ** i)) for i in range(count)]
+    try:
+        return [int(round(start * factor ** i)) for i in range(count)]
+    except OverflowError:
+        raise CapExceeded(f"--m-grid {text!r} passes the float range") from None
 
 
 def _parse_theta_grid(text: str) -> list:
@@ -544,11 +562,12 @@ def main(argv=None) -> int:
         config = build_config(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"error: ConfigError: {exc}", file=sys.stderr)
-        return 2
+    except TrielabError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _exit_code(exc)
     try:
         env = load_env(config.env_path)
+        config.validate(env.K)
         runner = {
             "spectral": run_spectral,
             "simulate": run_simulate,

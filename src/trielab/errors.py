@@ -58,11 +58,7 @@ class ZOutOfRange(TrielabError):
 
 
 class NotStrictlyConvex(TrielabError):
-    """log of the Perron root fails the strict convexity grid check."""
-
-
-class DomainTooNarrow(TrielabError):
-    """No sub-interval of the moment domain carries a positive box-count exponent."""
+    """log of the Perron root is affine: both exact drift limits coincide."""
 
 
 class OutsideRegime(TrielabError):

@@ -21,7 +21,9 @@ B = exp(L' - s) and of its transpose, with L' a diagonal similarity of
 L = (ln m_ij) that levels the dominant cycles and s = max L', so that
 extreme tilts neither overflow nor underflow; log rho = s + log rho(B).
 The one-sided limits of c(theta) are exact: extreme mean cycles of the
-log-entries, from max-plus matrix powers.
+log-entries, from max-plus matrix powers.  So are the limits f(+-inf), from
+the Perron root of the critical cycles' weights; with them and the convexity
+of log rho, each zero of f is one monotone root solve.
 """
 
 from __future__ import annotations
@@ -36,18 +38,15 @@ import numpy as np
 from .envs import DIRICHLET, EnvironmentModel, dlog_moment_matrix, log_moment_matrix
 from .errors import (
     ConditionsNotMet,
-    DomainTooNarrow,
     NotStrictlyConvex,
     OutsideRegime,
     ThetaOutOfDomain,
     ZOutOfRange,
 )
 
-_DOUBLING_KS = range(4, 15)          # theta = +-2^4 .. +-2^14 for rate boundary values
-_GRID_POINTS = 512
-_ENTRY_CLIP_LOG = math.log(1e12)     # working grids avoid moments above 1e12
-_CONVEXITY_EPS = 1e-9
 _ROOT_XTOL = 1e-10
+_BRACKET_STEPS = 64       # root brackets walk out to |theta| = 2^63
+_TIE_TOL = 1e-12          # log-scale ties: cycle means, drift limits, f(+-inf) vs 0
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def _maxplus(P: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _critical(env: EnvironmentModel, sign: int) -> tuple:
-    """(lam, u) for the log-entries W that dominate as theta -> sign * inf.
+    """(lam, u, f_end) for the log-entries W that dominate as theta -> sign * inf.
 
     W is sign * ln p for fixed rows; for mixtures ln max_c p^(c) (sign +1)
     or -ln min_c p^(c) (sign -1); -inf off the support.  lam is the largest
@@ -141,11 +140,18 @@ def _critical(env: EnvironmentModel, sign: int) -> tuple:
     u holds potentials with W_ij + u_j - u_i <= lam, with equality along a
     critical cycle: u_i is the heaviest walk of W - lam from i into one
     critical node.
+
+    f_end = ln rho(C) is the exact limit of f at that end.  The tilted
+    moments are e^{|theta| W_ij} (c_ij + o(1)), with c_ij the summed weight
+    of the components attaining the extreme (1 for fixed rows), so
+    rho(theta) e^{-|theta| lam} -> rho(C), where C keeps c on the arcs of
+    critical cycles and is 0 elsewhere (Akian, Bapat & Gaubert 1998).
     """
     if env.is_deterministic:
-        P = env.rows
+        P, c = env.rows, env.support.astype(float)
     else:
         P = env.comps.max(axis=0) if sign > 0 else env.comps.min(axis=0)
+        c = np.tensordot(env.weights, env.comps == P, axes=1)
     W = np.where(env.support, sign * np.log(np.where(env.support, P, 1.0)), -np.inf)
     Wk, lam = W, float(np.diag(W).max())
     for k in range(2, env.K + 1):
@@ -156,7 +162,14 @@ def _critical(env: EnvironmentModel, sign: int) -> tuple:
     for _ in range(env.K - 1):
         Ak = _maxplus(Ak, A)
         plus = np.maximum(plus, Ak)
-    return lam, plus[:, int(np.argmax(np.diag(plus)))]
+    # arc (i, j) is critical when the heaviest closed walk through it,
+    # A_ij + (heaviest walk j -> i, 0 if j = i), has weight 0
+    back = plus.T.copy()
+    np.fill_diagonal(back, np.maximum(np.diag(back), 0.0))
+    tol = _TIE_TOL * env.K * max(1.0, float(np.abs(W[env.support]).max()))
+    C = np.where(A + back >= -tol, c, 0.0)
+    f_end = math.log(float(np.linalg.eigvals(C).real.max()))
+    return lam, plus[:, int(np.argmax(np.diag(plus)))], f_end
 
 
 def _eval(env: EnvironmentModel, theta: float) -> tuple:
@@ -224,16 +237,17 @@ def shape_values(env: EnvironmentModel, theta: float) -> ShapeValues:
 def rate_function(env: EnvironmentModel, z: float) -> float:
     """Legendre rate sup_mu (mu z - log rho(mu+1)) for the size-biased log walk.
 
-    z must lie in the closure of attainable drifts; the boundary values are
-    handled as one-sided limits.  Vanishes at z = drift(1), the law-of-large-
-    numbers slope.  Dirichlet drifts have no lower end: the smallest-alpha
-    moment blows up as theta -> domain_lo, so the drift tends to -inf there.
+    z must lie in the closure of attainable drifts [d-, d+].  Inside, the
+    supremum sits at the theta = mu + 1 with drift(theta) = z, found by one
+    monotone root solve.  The ends are exact: I(d+-) = -d+- - f(+-inf), with
+    f(+-inf) = ln rho(C+-) from _critical.  Vanishes at z = drift(1), the
+    law-of-large-numbers slope.  Dirichlet drifts fill (-inf, 0): the
+    smallest-alpha moment blows up as theta -> domain_lo, and the rate is
+    +inf at z = 0.
     """
-    bounded = math.isfinite(env.domain_lo)
-    d_lo = -math.inf if bounded else -1.0 / _c_limit(env, -1)
-    d_hi = -1.0 / _c_limit(env, +1)
+    d_lo, d_hi = _drift_end(env, -1), _drift_end(env, +1)
     tol = 1e-9 * max(1.0, abs(z))
-    if abs(d_hi - d_lo) <= 1e-12:
+    if d_hi - d_lo <= _TIE_TOL:
         # affine log rho: single attainable drift, degenerate conjugate
         if abs(z - d_hi) <= max(tol, 1e-9):
             return 0.0
@@ -241,45 +255,35 @@ def rate_function(env: EnvironmentModel, z: float) -> float:
     if z < d_lo - tol or z > d_hi + tol:
         raise ZOutOfRange(f"z = {z!r} outside attainable drifts [{d_lo!r}, {d_hi!r}]")
     z = min(max(z, d_lo), d_hi)        # within tol past an end: that end's value
+    if z == d_hi and env.kind == DIRICHLET:
+        return math.inf
+    if z in (d_lo, d_hi):
+        return -z - _critical(env, 1 if z == d_hi else -1)[2]
 
-    lo_t, hi_t = (0.5 * env.domain_lo if bounded else -2.0), 2.0
-    while _eval(env, lo_t)[1] > z and (bounded or lo_t > -(2.0 ** 14)):
-        if not bounded:
-            lo_t *= 2.0
-        elif env.domain_lo < 0.5 * (lo_t + env.domain_lo) < lo_t:
-            lo_t = 0.5 * (lo_t + env.domain_lo)      # halve the distance to domain_lo
-        else:
-            raise ZOutOfRange(f"z = {z!r} lies below the drifts resolvable in float64")
-    while _eval(env, hi_t)[1] < z and hi_t < 2.0 ** 14:
-        hi_t *= 2.0
-    if _eval(env, lo_t)[1] > z or _eval(env, hi_t)[1] < z:
-        # boundary value: evaluate the conjugate along the doubling schedule
-        sign = 1.0 if z > (d_lo + d_hi) / 2 else -1.0
-        prev = None
-        for k in _DOUBLING_KS:
-            th = sign * float(2 ** k)
-            h = (th - 1.0) * z - _eval(env, th)[0]
-            if prev is not None and abs(h - prev) <= 1e-9 * max(1.0, abs(h)):
-                return h
-            prev = h
-        return h
-    for _ in range(200):
-        mid = 0.5 * (lo_t + hi_t)
-        if _eval(env, mid)[1] < z:
-            lo_t = mid
-        else:
-            hi_t = mid
-    th = 0.5 * (lo_t + hi_t)
-    return (th - 1.0) * z - _eval(env, th)[0]
+    def gap(theta: float) -> float:
+        return _eval(env, theta)[1] - z
+
+    gap0 = gap(0.0)
+    theta = _root(env, gap, gap0, 1 if gap0 < 0 else -1)
+    if theta is None:
+        raise ZOutOfRange(f"z = {z!r} lies beyond the drifts resolvable in float64")
+    return (theta - 1.0) * z - _eval(env, theta)[0]
 
 
-def _c_limit(env: EnvironmentModel, sign: int) -> float:
-    """Exact limit of rho/(-rho') = -1/drift as theta -> sign * inf.
+def _drift_end(env: EnvironmentModel, sign: int) -> float:
+    """Exact limit of the drift as theta -> sign * inf (or -> domain_lo).
 
     The drift tends to the largest cycle mean of the log-entries dominating
     at that end (see _critical).  Dirichlet drifts tend to 0 from below as
-    theta -> +inf, and theta -> -inf leaves the domain.
+    theta -> +inf and to -inf as theta -> domain_lo.
     """
+    if env.kind == DIRICHLET:
+        return 0.0 if sign > 0 else -math.inf
+    return sign * _critical(env, sign)[0]
+
+
+def _c_limit(env: EnvironmentModel, sign: int) -> float:
+    """Exact limit of rho/(-rho') = -1/drift as theta -> sign * inf."""
     if env.kind == DIRICHLET:
         if sign < 0:
             raise ThetaOutOfDomain(
@@ -287,43 +291,64 @@ def _c_limit(env: EnvironmentModel, sign: int) -> float:
                 f"({env.domain_lo!r}, {env.domain_hi!r}) is bounded on that side"
             )
         return math.inf
-    return -1.0 / (sign * _critical(env, sign)[0])
+    return -1.0 / _drift_end(env, sign)
 
 
-def _f_of(env: EnvironmentModel) -> Callable[[float], float]:
-    def f(theta: float) -> float:
-        log_rho, drift = _eval(env, theta)
-        return log_rho - theta * drift
-    return f
+def _walk(env: EnvironmentModel, sign: int) -> list:
+    """Tilts walking out from 0 on one side: sign * 2^k for k < _BRACKET_STEPS,
+    or, toward a finite domain_lo, points halving the distance left to it
+    until they reach it in float64."""
+    lo = env.domain_lo
+    if sign < 0 and math.isfinite(lo):
+        return [t for t in (lo * (1.0 - 0.5 ** k) for k in range(1, _BRACKET_STEPS))
+                if t > lo]
+    return [sign * 2.0 ** k for k in range(_BRACKET_STEPS)]
 
 
-def _refine_zero(f: Callable[[float], float], a: float, b: float) -> float:
-    fa = f(a)
-    for _ in range(200):
-        if b - a <= _ROOT_XTOL:
+def _root(env: EnvironmentModel, g: Callable[[float], float], g0: float,
+          sign: int) -> Optional[float]:
+    """The zero of a g monotone on the side sign * theta > 0, given g0 = g(0).
+
+    Walks out along _walk until g changes sign, then solves the bracket;
+    None when g keeps the sign of g0 out to the end of the walk.
+    """
+    if g0 == 0.0:
+        return 0.0
+    a, ga = 0.0, g0
+    for b in _walk(env, sign):
+        gb = g(b)
+        if gb == 0.0 or (gb > 0) != (ga > 0):
+            return _illinois(g, a, ga, b, gb)
+        a, ga = b, gb
+    return None
+
+
+def _illinois(g: Callable[[float], float], a: float, ga: float,
+              b: float, gb: float) -> float:
+    """A zero of g between a and b, where ga = g(a) and gb = g(b) differ in sign.
+
+    Regula falsi with the Illinois rule: the end kept twice in a row has its
+    value halved, so both ends close in superlinearly.  A secant point that
+    is not strictly inside the bracket, or a bracket that has not halved in
+    three steps, falls back to bisection.  Stops once the bracket is narrower
+    than _ROOT_XTOL * max(1, |theta|), or the secant step no longer moves
+    the newest end.
+    """
+    widths = [math.inf] * 3
+    while gb != 0.0 and abs(b - a) > _ROOT_XTOL * max(1.0, abs(b)):
+        c = b - gb * (b - a) / (gb - ga)
+        if c == b:                 # the secant step is below b's float spacing
             break
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if (fa > 0) == (fm > 0):
-            a, fa = mid, fm
+        if not min(a, b) < c < max(a, b) or abs(b - a) > 0.5 * widths[0]:
+            c = 0.5 * (a + b)
+        widths = widths[1:] + [abs(b - a)]
+        gc = g(c)
+        if (gc > 0) != (gb > 0):
+            a, ga = b, gb
         else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _clip_to_entries(env: EnvironmentModel) -> float:
-    """Smallest workable theta: moments at most 1e12 (left boundary blow-up)."""
-    lo_b = env.domain_lo
-    a, b = lo_b, 0.0
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if log_moment_matrix(env, mid)[env.support].max() > _ENTRY_CLIP_LOG:
-            a = mid
-        else:
-            b = mid
-    if b <= lo_b:
-        b = lo_b + 1e-12 * max(1.0, abs(lo_b))
-    return b
+            ga *= 0.5
+        b, gb = c, gc
+    return float(b)
 
 
 @lru_cache(maxsize=64)
@@ -333,10 +358,15 @@ def asymptotic_constants(env: EnvironmentModel) -> ConstantsReport:
     Deterministic environments: both constants are the exact theta -> +-inf
     limits of rho/(-rho'), -1 over the extreme mean cycles of ln p.
 
-    Random environments: condition (strict convexity of log rho) is verified
-    on the working grid, the endpoints of {f > 0} are located by sign scan
-    plus bisection, and the constants are the one-sided limits of -1/drift at
-    those endpoints.
+    Random environments: log rho is convex (tilted moments are log-convex,
+    Kingman 1961), so f' = -theta d' makes f increase for theta < 0 and
+    decrease for theta > 0, from f(0) = ln rho(support) >= ln 2.  Each side
+    thus holds at most one zero of f.  It exists iff f(+-inf) < 0: always
+    for Dirichlet rows (f -> -inf at both ends), and iff ln rho(C+-) < 0
+    otherwise (see _critical).  Each zero is bracketed by _walk and solved
+    by _illinois; the constants are -1/drift there, or the exact limits
+    _c_limit where f stays positive.  log rho is strictly convex unless it
+    is affine, that is unless the two exact drift limits coincide.
     """
     if env.is_deterministic:
         return ConstantsReport(
@@ -346,89 +376,43 @@ def asymptotic_constants(env: EnvironmentModel) -> ConstantsReport:
             condition_saturation_ok=True,
             notes="deterministic regime; constants from the extreme mean cycles of ln p",
         )
-
-    f = _f_of(env)
-    # working interval: clip the left end to moments <= 1e12, expand the right
-    # end (and an unbounded left end) by doubling until f changes sign
-    hi = 1.0
-    while f(hi) > 0 and hi < 2.0 ** 14:
-        hi *= 2.0
-    if env.domain_lo == -math.inf:
-        lo = -1.0
-        while f(lo) > 0 and lo > -(2.0 ** 14):
-            lo *= 2.0
-    else:
-        lo = _clip_to_entries(env)
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    pts = [_eval(env, t) for t in grid]
-    log_rho_g = np.array([p[0] for p in pts])
-    f_g = np.array([p[0] - t * p[1] for p, t in zip(pts, grid)])
-
-    # condition check: log rho convex on the grid, with a genuinely increasing
-    # drift (strictness).  The raw second differences underflow far from the
-    # origin even for strictly convex spectra, so strictness is measured by
-    # the total drift increase instead.
-    second = np.diff(log_rho_g, 2)
-    if second.min() < -_CONVEXITY_EPS:
+    if _drift_end(env, +1) - _drift_end(env, -1) <= _TIE_TOL:
         raise NotStrictlyConvex(
-            f"log rho shows concavity on the working grid (min second "
-            f"difference {second.min()!r})"
-        )
-    if pts[-1][1] - pts[0][1] <= _CONVEXITY_EPS:
-        raise NotStrictlyConvex(
-            "drift does not increase across the working grid: log rho is "
-            "affine to numerical precision"
-        )
-    if f_g.max() <= 0:
-        raise DomainTooNarrow("f is nonpositive on the entire working grid")
-
-    crossings = []
-    for i in range(len(grid) - 1):
-        if (f_g[i] > 0 > f_g[i + 1]) or (f_g[i] < 0 < f_g[i + 1]):
-            crossings.append(_refine_zero(f, grid[i], grid[i + 1]))
-        elif f_g[i] == 0.0 and i > 0 and (f_g[i - 1] > 0 > f_g[i + 1]
-                                          or f_g[i - 1] < 0 < f_g[i + 1]):
-            crossings.append(float(grid[i]))     # zero landed on a grid point
-    left_zeros = [c for c in crossings if c < 0]
-    right_zeros = [c for c in crossings if c >= 0]
-
-    notes = []
-    if right_zeros:
-        theta_hi = float(right_zeros[0])
-        zeta_hi = float(-1.0 / _eval(env, theta_hi)[1])
-        notes.append(f"upper endpoint located by bisection at {theta_hi!r}")
-    else:
-        theta_hi = math.inf
-        zeta_hi = _c_limit(env, +1)
-        notes.append("f stays positive along the doubling schedule; upper endpoint +inf")
-
-    condition_ok = False
-    if left_zeros:
-        theta_lo = float(left_zeros[0])
-        zeta_lo = float(-1.0 / _eval(env, theta_lo)[1])
-        condition_ok = theta_lo < 0    # f vanishes there by continuity
-        notes.append(f"lower endpoint is an interior zero at {theta_lo!r}; f -> 0 there")
-    elif env.domain_lo == -math.inf:
-        theta_lo = -math.inf
-        zeta_lo = _c_limit(env, -1)
-        notes.append("f stays positive toward -inf; saturation conditions fail")
-    else:
-        theta_lo = env.domain_lo
-        # extrapolate f linearly from the innermost 5 grid points to the boundary
-        xs, ys = grid[:5], f_g[:5]
-        slope, intercept = np.polyfit(xs, ys, 1)
-        f_lim = float(slope * env.domain_lo + intercept)
-        condition_ok = bool(abs(f_lim) < 1e-6 and env.domain_lo < 0)
-        zeta_lo = float(-1.0 / pts[0][1])
-        notes.append(
-            f"f positive down to the domain boundary; extrapolated limit {f_lim!r}"
+            f"log rho is affine: both drift limits equal {_drift_end(env, +1)!r}"
         )
 
+    drifts = {}                    # the drift at every tilt f was evaluated at
+
+    def f(theta: float) -> float:
+        log_rho, drifts[theta] = _eval(env, theta)
+        return log_rho - theta * drifts[theta]
+
+    f0 = f(0.0)
+    ends = []
+    for sign in (+1, -1):
+        side = "upper" if sign > 0 else "lower"
+        if env.kind == DIRICHLET:
+            zero = _root(env, f, f0, sign)
+            why = f"f -> -inf at the {side} end of the domain"
+        else:
+            f_end = _critical(env, sign)[2]
+            zero = _root(env, f, f0, sign) if f_end < -_TIE_TOL else None
+            why = f"f({'+' if sign > 0 else '-'}inf) = ln rho(C) = {f_end!r}"
+        if zero is None:
+            ends.append((sign * math.inf, _c_limit(env, sign),
+                         f"{why}: f stays positive, {side} endpoint {sign * math.inf!r}"))
+        else:
+            ends.append((zero, -1.0 / drifts[zero],
+                         f"{why}: {side} endpoint is the zero of f at {zero!r}"))
+    (theta_hi, zeta_hi, note_hi), (theta_lo, zeta_lo, note_lo) = ends
+    condition_ok = math.isfinite(theta_lo)
+    if not condition_ok:
+        note_lo += "; saturation conditions fail"
     return ConstantsReport(
         domain_lo=env.domain_lo, domain_hi=env.domain_hi,
         c_star_lower=zeta_lo, c_star_upper=zeta_hi,
         theta_star_lower=theta_lo, theta_star_upper=theta_hi,
-        condition_saturation_ok=condition_ok, notes="; ".join(notes),
+        condition_saturation_ok=condition_ok, notes=f"{note_hi}; {note_lo}",
     )
 
 

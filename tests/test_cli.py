@@ -236,6 +236,27 @@ def test_workers_above_cpu_count_are_refused(tmp_path, iid_env_file, monkeypatch
     assert not out.exists()
 
 
+def test_m_grid_past_the_level_budget_is_refused(tmp_path, iid_env_file, monkeypatch,
+                                                 capsys):
+    def levels(*_, **__):
+        raise AssertionError("a refused m grid reached the simulator")
+
+    monkeypatch.setattr(tl.sim, "_run_levels", levels)
+    for mode, grid, j in (("converge", "1024:1e20:3", "2"), ("converge", "1024:1e200:3", "2"),
+                          ("simulate", f"{2 ** 23}:2:2", "1")):
+        out = tmp_path / "m.csv"
+        assert main([mode, "--env", iid_env_file, "--j", j, "--m-grid", grid, "--reps", "2",
+                     "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: CapExceeded:") and err.count("\n") == 1
+        assert not out.exists()
+    # the budget admits m up to 2^20 with K = 5 at j = 1, and j divides the level
+    ExperimentConfig(env_path="", mode="converge", j=1, m_grid=[2 ** 20]).validate(5)
+    ExperimentConfig(env_path="", mode="converge", j=8, m_grid=[2 ** 23]).validate(2)
+    ExperimentConfig(env_path="", mode="converge", alpha=0.5,
+                     m_grid=[2 ** 20]).validate(5)
+
+
 def test_exit_code_coupon_past_int64(tmp_path):
     # a box of mass 1e-21 at depth 7: the other boxes' Poisson means pass
     # what numpy can draw, so the count is refused, not wrapped or crashed

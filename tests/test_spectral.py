@@ -2,14 +2,21 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import trielab as tl
 from trielab import spectral
 from trielab.errors import (
     ConditionsNotMet,
+    NotRegular,
     NotStrictlyConvex,
     OutsideRegime,
     ThetaOutOfDomain,
@@ -234,6 +241,36 @@ def test_rate_out_of_range(env_iid):
         tl.rate_function(env_iid, math.log(0.3) - 0.1)
 
 
+def test_rate_dirichlet_near_zero_drift_matches_closed_form(env_dirichlet):
+    # the drift -1/(1 + theta) reaches z only at theta = -1/z - 1, so the
+    # bracket has no cap, and the rate is infinite at z = 0 itself.  At
+    # z = -1e-9, theta ~ 1e9, where ln Gamma is ~2e10 and its rounding
+    # (~4e-6 absolute) limits the log moments, hence rel = 1e-7.
+    for z in (-1e-3, -1e-6, -1e-9):
+        want = -1.0 - 2.0 * z - math.log(-2.0 * z)
+        assert tl.rate_function(env_dirichlet, z) == pytest.approx(want, rel=1e-7)
+    assert tl.rate_function(env_dirichlet, 0.0) == math.inf
+
+
+def test_rate_ends_are_minus_drift_minus_log_rho_of_the_critical_matrix(env_markov,
+                                                                         env_mixture):
+    # the conftest mixture has closed-form ends: rho(theta) e^{-theta ln 0.9}
+    # -> 1/2 and rho(theta) 10^{-theta} -> 1/2, so I = -d - ln(1/2) there
+    assert tl.rate_function(env_mixture, math.log(0.9)) == pytest.approx(
+        -math.log(0.9) + LN2, rel=1e-12)
+    assert tl.rate_function(env_mixture, math.log(0.1)) == pytest.approx(
+        -math.log(0.1) + LN2, rel=1e-12)
+    models = [env_markov, env_mixture] + [mix for _, mix in _sparse_envs()]
+    for env in models:
+        for sign in (-1, +1):
+            d, C = _critical_matrix(env, sign)
+            want = -d - math.log(max(abs(np.linalg.eigvals(C))))
+            assert tl.rate_function(env, d) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            # just inside the end, the rate climbs toward the end value
+            inside = tl.rate_function(env, d - sign * 1e-7)
+            assert want - 1e-3 < inside < want
+
+
 # --------------------------------------------------------------------------
 # asymptotic constants
 # --------------------------------------------------------------------------
@@ -262,18 +299,44 @@ def test_constants_markov_cycle_oracle(env_markov):
     assert 0 < rep.c_star_lower <= rep.c_star_upper
 
 
-def _simple_cycle_means(P):
-    """(min, max) mean of ln p over the simple cycles of P's support, by enumeration."""
+def _simple_cycles(P):
+    """(mean of ln p, arcs) for every simple cycle of P's support, by enumeration."""
     K = len(P)
-    means = []
+    cycles = []
     for k in range(1, K + 1):
         for seq in itertools.permutations(range(K), k):
             if seq[0] != min(seq):
                 continue                      # one rotation per cycle
             arcs = list(zip(seq, seq[1:] + seq[:1]))
             if all(P[a][b] > 0 for a, b in arcs):
-                means.append(sum(math.log(P[a][b]) for a, b in arcs) / k)
+                cycles.append((sum(math.log(P[a][b]) for a, b in arcs) / k, arcs))
+    return cycles
+
+
+def _simple_cycle_means(P):
+    """(min, max) mean of ln p over the simple cycles of P's support."""
+    means = [mean for mean, _ in _simple_cycles(P)]
     return min(means), max(means)
+
+
+def _critical_matrix(env, sign):
+    """(drift limit, C) at theta -> sign * inf, from the enumerated simple cycles.
+
+    The log-entries are ln max_c p^(c) (sign +1) or ln min_c p^(c) (sign -1);
+    C carries, on the arcs of the simple cycles with the extreme mean, the
+    summed weight of the components attaining the extreme (1 for fixed rows).
+    """
+    comps = env.comps if env.comps is not None else env.rows[None]
+    weights = env.weights if env.weights is not None else np.ones(1)
+    P = comps.max(axis=0) if sign > 0 else comps.min(axis=0)
+    cycles = _simple_cycles(P)
+    extreme = (max if sign > 0 else min)(mean for mean, _ in cycles)
+    C = np.zeros((env.K, env.K))
+    for mean, arcs in cycles:
+        if abs(mean - extreme) <= 1e-12:
+            for a, b in arcs:
+                C[a, b] = weights @ (comps[:, a, b] == P[a, b])
+    return extreme, C
 
 
 def _sparse_envs(count=20, seed=20261018):
@@ -371,6 +434,135 @@ def test_not_strictly_convex_mixture():
     env = tl.mixture_env([1.0], [[[0.5, 0.5], [0.5, 0.5]]])
     with pytest.raises(NotStrictlyConvex):
         tl.asymptotic_constants(env)
+
+
+def test_f_limits_match_f_at_extreme_tilts(env_markov, env_mixture):
+    # f(+-inf) = ln rho(C+-), exact.  f approaches it like e^{-|theta| gap},
+    # gap the distance from the critical cycle mean to the next one; one
+    # mixture here has gap ~ 0.004, so f is 4e-8 away at 4096 and 3e-13 at 16384
+    models = [env_markov, env_mixture] + [m for pair in _sparse_envs() for m in pair]
+    for env in models:
+        for sign in (-1, +1):
+            f_end = spectral._critical(env, sign)[2]
+            _, C = _critical_matrix(env, sign)
+            assert f_end == pytest.approx(math.log(max(abs(np.linalg.eigvals(C)))),
+                                          rel=1e-12, abs=1e-12)
+            assert tl.shape_values(env, sign * 4096.0).f == pytest.approx(f_end, abs=1e-7)
+            assert tl.shape_values(env, sign * 16384.0).f == pytest.approx(f_end, abs=1e-10)
+
+
+def test_f_staying_positive_leaves_an_endpoint_infinite():
+    # on the critical self-loop at type 1 both components agree, so
+    # f(+inf) = ln 1 = 0 on the upper side (and likewise f(-inf) = 0 for the
+    # second environment): f stays positive there and no zero exists
+    upper = tl.mixture_env([0.5, 0.5], [[[0.9, 0.1], [0.5, 0.5]], [[0.9, 0.1], [0.3, 0.7]]])
+    lower = tl.mixture_env([0.5, 0.5], [[[0.05, 0.95], [0.5, 0.5]],
+                                        [[0.05, 0.95], [0.6, 0.4]]])
+    rep = tl.asymptotic_constants(upper)
+    assert spectral._critical(upper, +1)[2] == 0.0
+    assert rep.theta_star_upper == math.inf
+    assert rep.c_star_upper == pytest.approx(-1 / math.log(0.9), rel=1e-12)
+    assert rep.condition_saturation_ok and rep.theta_star_lower < 0
+    rep = tl.asymptotic_constants(lower)
+    assert spectral._critical(lower, -1)[2] == 0.0
+    assert rep.theta_star_lower == -math.inf
+    assert rep.c_star_lower == pytest.approx(-1 / math.log(0.05), rel=1e-12)
+    assert not rep.condition_saturation_ok
+    with pytest.raises(ConditionsNotMet):
+        tl.predicted_saturation_constant(lower)
+
+
+def test_constants_solve_few_points(env_dirichlet, env_mixture, monkeypatch):
+    # one bracket walk and one root solve per side, not a scan of a grid
+    calls = []
+    inner = spectral._eval
+    monkeypatch.setattr(spectral, "_eval", lambda env, t: calls.append(t) or inner(env, t))
+    for env in (env_dirichlet, env_mixture, tl.dirichlet_env([[5.0, 5.0], [5.0, 5.0]])):
+        spectral.asymptotic_constants.__wrapped__(env)
+        assert len(calls) <= 40
+        calls.clear()
+
+
+def test_import_and_constants_leave_scipy_optimize_and_linalg_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, trielab as tl\n"
+            "tl.asymptotic_constants(tl.dirichlet_env([[1.0, 1.0], [1.0, 1.0]]))\n"
+            "tl.asymptotic_constants(tl.mixture_env([0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]],"
+            " [[0.9, 0.1], [0.9, 0.1]]]))\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+# --------------------------------------------------------------------------
+# properties over random environments
+# --------------------------------------------------------------------------
+
+@st.composite
+def random_envs(draw):
+    """Deterministic, Dirichlet or mixture environments on random
+    positive-regular supports, K <= 4."""
+    K = draw(st.integers(2, 4))
+    support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=K, max_size=K),
+                                     min_size=K, max_size=K)))
+    assume((support.sum(axis=1) >= 2).all())
+
+    def matrix(lo, hi):
+        vals = draw(st.lists(st.floats(lo, hi), min_size=K * K, max_size=K * K))
+        return np.where(support, np.array(vals).reshape(K, K), 0.0)
+
+    def stochastic():
+        rows = matrix(0.05, 1.0)
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    kind = draw(st.sampled_from(["deterministic", "dirichlet", "mixture"]))
+    try:
+        if kind == "deterministic":
+            return tl.deterministic_env(stochastic())
+        if kind == "dirichlet":
+            return tl.dirichlet_env(matrix(0.1, 5.0))
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3)))
+        return tl.mixture_env(weights / weights.sum(), [stochastic() for _ in weights])
+    except NotRegular:
+        assume(False)
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, database=None,
+                     suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@_PROPERTY
+@given(env=random_envs())
+def test_log_rho_is_convex_and_f_is_unimodal(env):
+    # Kingman (1961): log rho is convex, so f' = -theta d' >= 0 for theta < 0
+    # and <= 0 for theta > 0
+    lo = max(-6.0, 0.9 * env.domain_lo)
+    thetas = np.concatenate([np.linspace(lo, 0.0, 25), np.linspace(0.0, 8.0, 33)[1:]])
+    pts = [spectral._eval(env, t) for t in thetas]
+    log_rho = np.array([p[0] for p in pts])
+    drift = np.array([p[1] for p in pts])
+    f = log_rho - thetas * drift
+    slopes = np.diff(log_rho) / np.diff(thetas)
+    tol = 1e-9 * max(1.0, np.abs(log_rho).max())
+    assert (np.diff(slopes) >= -tol).all()
+    assert (np.diff(drift) >= -tol).all()
+    assert (drift[:-1] - tol <= slopes).all() and (slopes <= drift[1:] + tol).all()
+    left = thetas <= 0.0
+    assert (np.diff(f[left]) >= -tol).all()
+    assert (np.diff(f[~left][::-1]) >= -tol).all()       # nonincreasing past 0
+    assert f[thetas == 0.0][0] >= LN2 - 1e-12
+
+
+@_PROPERTY
+@given(env=random_envs())
+def test_rho_is_one_at_theta_one_and_envs_round_trip(env):
+    # the theta = 1 moment matrix is row-stochastic
+    assert abs(spectral._eval(env, 1.0)[0]) <= 1e-12
+    assert tl.parse_env_text(tl.serialize_env(env)) == env
 
 
 # --------------------------------------------------------------------------
