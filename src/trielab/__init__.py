@@ -16,7 +16,7 @@ from .envs import (
     parse_env_text,
     regularity,
     regularity_from_support,
-    sample_row,
+    sample_rows,
     serialize_env,
 )
 from .oracle import WordSet, brute_force_trie, grid_sup, sample_words

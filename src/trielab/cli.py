@@ -93,6 +93,11 @@ class ExperimentConfig:
             raise ConfigError(f"--alpha must lie in (0,1), got {self.alpha!r}")
         if self.replicates < 1:
             raise ConfigError(f"--reps must be >= 1, got {self.replicates}")
+        if not 0 <= self.depth <= sim.DEFAULT_DEPTH_CAP:
+            raise ConfigError(f"--depth must lie in 0..{sim.DEFAULT_DEPTH_CAP} (the simulator's "
+                              f"generation cap), got {self.depth}")
+        if self.cap < 1:
+            raise ConfigError(f"--cap must be >= 1, got {self.cap}")
         if self.m_grid:
             if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
                 raise ConfigError("m grid must be strictly increasing (factor > 1)")
@@ -489,10 +494,17 @@ def _parse_m_grid(text: str) -> list:
         raise ConfigError(f"--m-grid must be START:FACTOR:COUNT, got {text!r}") from None
     if start < 1 or count < 1 or factor <= 1.0:
         raise ConfigError(f"--m-grid needs start >= 1, count >= 1, factor > 1, got {text!r}")
+    # checked in logs before the list is built: its length is count
     try:
-        return [int(round(start * factor ** i)) for i in range(count)]
-    except OverflowError:
-        raise CapExceeded(f"--m-grid {text!r} passes the float range") from None
+        log_last = math.log(start) + (count - 1) * math.log(factor)
+    except OverflowError:                           # count past the float range
+        log_last = math.inf
+    if log_last > math.log(sys.float_info.max):
+        raise CapExceeded(f"--m-grid {text!r} passes the float range")
+    if math.log(count - 0.5) > log_last:
+        raise ConfigError(f"--m-grid {text!r} cannot be strictly increasing: its last point "
+                          f"{math.exp(log_last):.6g} rounds below its count {count}")
+    return [int(round(start * factor ** i)) for i in range(count)]
 
 
 def _parse_theta_grid(text: str) -> list:

@@ -339,17 +339,27 @@ def laplace_entry(env: EnvironmentModel, i: int, j: int, theta: float) -> float:
 # row sampling
 # --------------------------------------------------------------------------
 
-def sample_row(env: EnvironmentModel, i: int, rng: np.random.Generator) -> np.ndarray:
-    """One realized transition row for 1-based type i (length-K, sums to 1)."""
-    row = np.zeros(env.K)
-    cols = env.supported_cols[i - 1]
+def sample_rows(env: EnvironmentModel, types, rng: np.random.Generator) -> np.ndarray:
+    """Realized transition rows for 0-based box types: a new (n, K) array.
+
+    Each row sums to 1 and is exactly 0 off its type's support.  Random
+    environments draw a fresh row per entry of `types`: one Dirichlet batch
+    per type (numpy's stick-breaking keeps rows with tiny alpha finite), or
+    one mixture component per row.
+    """
+    types = np.asarray(types, dtype=np.int64)
     if env.kind == DETERMINISTIC:
-        return env.rows[i - 1].copy()
-    if env.kind == DIRICHLET:
-        row[cols] = rng.dirichlet(env.alpha[i - 1, cols])
-        return row
-    c = rng.choice(len(env.weights), p=env.weights)
-    return env.comps[c, i - 1].copy()
+        return np.take(env.rows, types, axis=0)       # take: far faster than fancy indexing
+    if env.kind == MIXTURE:
+        picks = rng.choice(len(env.weights), size=types.shape[0], p=env.weights)
+        return np.take(env.comps.reshape(-1, env.K), picks * env.K + types, axis=0)
+    rows = np.zeros((types.shape[0], env.K))
+    for i in range(env.K):
+        mask = types == i
+        n_i = int(mask.sum())
+        if n_i:
+            rows[mask] = rng.dirichlet(env.alpha[i], size=n_i)
+    return rows
 
 
 # --------------------------------------------------------------------------

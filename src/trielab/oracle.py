@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import DETERMINISTIC, EnvironmentModel, sample_row
+from .envs import DETERMINISTIC, EnvironmentModel, sample_rows
 from .errors import CapExceeded, LengthTooShort
 
 _LEVEL_SCAN_CAP = 100_000
@@ -109,7 +109,8 @@ def sample_words(env: EnvironmentModel, m: int, length: int, rng: np.random.Gene
 
     Deterministic environments give independent Markov chains.  Random
     environments realize one shared cascade: each visited node samples its
-    row once (lazily) and every ball passing through reuses it.
+    row once (all nodes of a step in one sample_rows call) and every ball
+    passing through reuses it.
 
     All balls move together: each step draws one uniform per ball and inverts
     the cumulative row of the node the ball is in.
@@ -137,8 +138,7 @@ def sample_words(env: EnvironmentModel, m: int, length: int, rng: np.random.Gene
             # then draw one row per node for all of its balls to share
             _, first, node = np.unique(node * K + state, return_index=True, return_inverse=True)
             types = state[first]
-            rows = np.array([sample_row(env, int(i) + 1, rng) for i in types]).reshape(-1, K)
-            cum = cdf(rows, types)[node]
+            cum = cdf(sample_rows(env, types, rng), types)[node]
         state = (cum <= rng.random(m)[:, None]).sum(axis=1)
         words[:, step] = state + 1
     return WordSet(words=words, support=env.support)

@@ -15,15 +15,17 @@ boxes holding >= j balls enumerates every generation-n box with >= j balls;
 comparing their number R_n with the number P_n of positive-mass boxes
 (support-pattern paths, counted exactly with saturation at m+1) detects G.
 
-The multinomial split is realized as a chain of conditional binomials over
-the supported children: exact, and vectorized over all boxes of one type.
+Each level is one step: every box draws its K-wide row (envs.sample_rows)
+and splits its balls along it by a chain of conditional binomials over the
+columns, exact and vectorized over all boxes of the level; its children are
+the supported columns.
 
 Every box draws its own row, so a box of type i holding c balls roots an
 independent subtree whose height law depends on (i, c) alone (the height
 recursion of Szpankowski, 1991).  Once G is decided, the height run freezes
-every box holding j <= c <= C0 balls and draws each (level, type, count)
-class maximum from exact subtree-height tail tables; only boxes holding more
-than C0 balls are split further.
+every box holding j <= c <= C0 balls, and at the end of the run draws each
+(level, type, count) class maximum from exact subtree-height tail tables;
+only boxes holding more than C0 balls are split further.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.special import betaln, gammaln, xlog1py, xlogy
 
 from . import spectral
-from .envs import DETERMINISTIC, DIRICHLET, EnvironmentModel
+from .envs import DETERMINISTIC, DIRICHLET, EnvironmentModel, sample_rows
 from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegime
 
 DEFAULT_DEPTH_CAP = 10_000
@@ -94,72 +96,45 @@ class CouponOutcome:
 # level machinery
 # --------------------------------------------------------------------------
 
-def _draw_rows(env: EnvironmentModel, i: int, n: int, rng: np.random.Generator):
-    """n realized rows for type i+1, restricted to its supported columns.
-
-    Returns a (n, s) array, or a (s,) array shared by all boxes when the
-    environment is deterministic.
-    """
-    cols = env.supported_cols[i]
-    if env.kind == DETERMINISTIC:
-        return env.rows[i, cols]
-    if env.kind == DIRICHLET:
-        return rng.dirichlet(env.alpha[i, cols], size=n)
-    picks = rng.choice(len(env.weights), size=n, p=env.weights)
-    return env.comps[picks][:, i][:, cols]
-
-
 def _split_counts(counts, rows, rng):
-    """Multinomial split of each count along its row (conditional binomials)."""
-    n = counts.shape[0]
-    if rows.ndim == 1:
-        s = rows.shape[0]
-        out = np.empty((n, s), dtype=np.int64)
-        remaining = counts.copy()
-        tail = 1.0
-        for t in range(s - 1):
-            p = min(max(rows[t] / tail, 0.0), 1.0)
-            drawn = rng.binomial(remaining, p)
-            out[:, t] = drawn
-            remaining -= drawn
-            tail -= rows[t]
-        out[:, s - 1] = remaining
-        return out
-    s = rows.shape[1]
-    out = np.empty((n, s), dtype=np.int64)
+    """Multinomial split of each count along its K-wide row: a chain of K - 1
+    conditional binomials over the columns, the rest to the last column.
+
+    Each column's share is its entry over the tail sum of the row from that
+    column on.  At the last column of positive mass that tail is the entry
+    itself, so p = 1 exactly there: no ball passes it, and none reaches a
+    column off the support.
+    """
+    tails = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
+    p = rows / np.where(tails > 0.0, tails, 1.0)          # a zero tail has a zero entry
+    out = np.empty(rows.shape, dtype=np.int64)
     remaining = counts.copy()
-    tail = np.ones(n)
-    for t in range(s - 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(tail > 0.0, rows[:, t] / tail, 0.0)
-        np.clip(p, 0.0, 1.0, out=p)
-        drawn = rng.binomial(remaining, p)
-        out[:, t] = drawn
-        remaining -= drawn
-        tail = tail - rows[:, t]
-    out[:, s - 1] = remaining
+    for t in range(rows.shape[1] - 1):
+        out[:, t] = rng.binomial(remaining, p[:, t])
+        remaining -= out[:, t]
+    out[:, -1] = remaining
     return out
 
 
-def _expand(env, types, values, rng, split):
-    """Children of every box, type by type: (child types, child values).
+def _log_masses(parent, rows, _):
+    """Children's ln masses: the parent's plus the ln of its row entries
+    (computed in place: sample_rows hands out fresh rows)."""
+    with np.errstate(divide="ignore"):
+        np.log(rows, out=rows)
+    rows += parent[:, None]
+    return rows
 
-    The boxes of one type draw their rows in one _draw_rows call, and
-    split(values, rows, rng) gives each box one value per supported child,
-    in the order of supported_cols.
+
+def _expand(env, types, values, rng, split):
+    """Children of every box of a level: (child types, child values).
+
+    All boxes draw their K-wide rows in one sample_rows call, and
+    split(values, rows, rng) gives each box one value per column.  The
+    children are the supported columns, env.support[types], box by box.
     """
-    child_types = []
-    child_values = []
-    for i in range(env.K):
-        mask = types == i
-        ni = int(mask.sum())
-        if ni == 0:
-            continue
-        cols = env.supported_cols[i]
-        block = split(values[mask], _draw_rows(env, i, ni, rng), rng)
-        child_types.append(np.broadcast_to(cols, (ni, len(cols))).ravel())
-        child_values.append(block.ravel())
-    return np.concatenate(child_types), np.concatenate(child_values)
+    block = split(values, sample_rows(env, types, rng), rng)
+    keep = np.take(env.support, types, axis=0).ravel()
+    return np.tile(np.arange(env.K), types.shape[0])[keep], block.ravel()[keep]
 
 
 def _advance_positive(support, per_type, cap):
@@ -230,6 +205,7 @@ class _HeightTable:
         self.tail[0, :, j:] = 1.0
         self.log_f = self._log1m(self.tail)
         self.rows = 1
+        self.grow(2)                                 # a frozen box holds >= j, so S >= 1
 
     @staticmethod
     def _log1m(tail):
@@ -257,27 +233,29 @@ class _HeightTable:
             self.log_f[h] = self._log1m(nxt)
         self.rows = max(self.rows, rows)
 
-    def class_max(self, types, counts, rng, room):
-        """Largest subtree height among frozen boxes (types, counts).
+    def class_max(self, levels, types, counts, rng, cap):
+        """Largest level + S among frozen boxes (levels, types, counts).
 
-        Each (type, count) class of N boxes draws its maximum with one
-        uniform U: the smallest h with N ln(1 - tail[h]) >= ln U.  The
-        largest class maximum is the first row at which every class is
-        resolved.  Raises DepthCapExceeded past `room` generations.
+        Each (level, type, count) class of N boxes draws its S with one
+        uniform U: the smallest h with ln(1 - tail[h]) >= ln(U) / N.  Raises
+        DepthCapExceeded when some level + S passes `cap`.
         """
-        width = self.tail.shape[2]
-        keys, sizes = np.unique(types * width + counts, return_counts=True)
-        ti, ci = np.divmod(keys, width)
+        _, K, width = self.tail.shape
+        keys, sizes = np.unique((levels * K + types) * width + counts, return_counts=True)
+        lv, rest = np.divmod(keys, K * width)
+        ti, ci = np.divmod(rest, width)
         with np.errstate(divide="ignore"):
-            log_u = np.log(rng.random(keys.shape[0]))
+            bar = np.log(rng.random(keys.shape[0])) / sizes
         while True:
-            done = (sizes * self.log_f[1:self.rows, ti, ci] >= log_u).all(axis=1)
-            h = int(np.argmax(done)) + 1 if done.any() else self.rows
-            if h > room:
-                raise DepthCapExceeded(f"no termination within {room} generations of a frozen box")
-            if done.any():
-                return h
-            self.grow(min(2 * self.rows, room + 1))
+            done = self.log_f[1:self.rows, ti, ci] >= bar
+            resolved = done.any(axis=0)
+            # an unresolved class has S >= rows, the table's length so far
+            top = int((lv + np.where(resolved, done.argmax(axis=0) + 1, self.rows)).max())
+            if top > cap:
+                raise DepthCapExceeded(f"no termination within {cap} generations")
+            if resolved.all():
+                return top
+            self.grow(min(2 * self.rows, cap - int(lv[~resolved].min()) + 1))
 
 
 @lru_cache(maxsize=32)
@@ -289,9 +267,9 @@ def _run_levels(env, m, j, rng, depth_cap, want_height):
     """Shared level loop; returns (height|None, saturation, expanded, depth).
 
     Before G is decided every box is split.  After it, a height run freezes
-    the boxes holding at most C0 balls and takes their subtree heights from
-    the tables; `expanded` counts the boxes split, `depth` the generation
-    where splitting stopped.
+    the boxes holding at most C0 balls and, once splitting stops, takes
+    their subtree heights from the tables; `expanded` counts the boxes
+    split, `depth` the generation where splitting stopped.
     """
     if m < j:
         return (0 if want_height else None), 0, 0, 0
@@ -302,7 +280,7 @@ def _run_levels(env, m, j, rng, depth_cap, want_height):
     sat = None
     expanded = 0
     depth = 0
-    frozen = 0                                    # largest depth + S of a frozen box
+    frozen = []                                   # (levels, types, counts) per level
     while True:
         R = counts.shape[0]                       # boxes holding >= j at this depth
         P = min(int(per_type.sum()), m + 1)       # positive boxes (saturated)
@@ -310,16 +288,11 @@ def _run_levels(env, m, j, rng, depth_cap, want_height):
             sat = depth
         if want_height and sat is not None:
             small = counts <= C0
-            if small.any():
-                table = _height_table(env, j, min(C0, m))
-                frozen = max(frozen, depth + table.class_max(
-                    types[small], counts[small], rng, depth_cap - depth))
-                types, counts = types[~small], counts[~small]
-                R = counts.shape[0]
-        if R == 0:
-            return max(depth, frozen), sat, expanded, depth
-        if not want_height and sat is not None:
-            return None, sat, expanded, depth
+            frozen.append((np.full(int(small.sum()), depth), types[small], counts[small]))
+            types, counts = types[~small], counts[~small]
+            R = counts.shape[0]
+        if R == 0 or (not want_height and sat is not None):
+            break
         if depth >= depth_cap:
             raise DepthCapExceeded(f"no termination within {depth_cap} generations")
         expanded += R
@@ -329,6 +302,14 @@ def _run_levels(env, m, j, rng, depth_cap, want_height):
         counts = ccounts[keep]
         per_type = _advance_positive(support, per_type, m + 1)
         depth += 1
+    if not want_height:
+        return None, sat, expanded, depth
+    height = depth
+    levels, types, counts = (np.concatenate(part) for part in zip(*frozen))
+    if levels.size:
+        table = _height_table(env, j, min(C0, m))
+        height = max(depth, table.class_max(levels, types, counts, rng, depth_cap))
+    return height, sat, expanded, depth
 
 
 # --------------------------------------------------------------------------
@@ -410,8 +391,7 @@ def _enumerate_boxes(env, n, rng):
     types = np.array([0], dtype=np.int64)
     logs = np.array([0.0])
     for _ in range(n):
-        types, logs = _expand(env, types, logs, rng,
-                              lambda parent, rows, _: parent[:, None] + np.log(rows))
+        types, logs = _expand(env, types, logs, rng, _log_masses)
     return types, logs
 
 
@@ -503,19 +483,20 @@ def size_biased_walk(env: EnvironmentModel, n: int, rng: np.random.Generator):
     box's mass; the landing box is distributed by the size-biased law.
     """
     path = [1]
-    t = 0
-    log_size = 0.0
+    types, logs = np.zeros(1, dtype=np.int64), np.zeros(1)
     for _ in range(n):
-        cols = env.supported_cols[t]
-        row = _draw_rows(env, t, 1, rng)
-        row = row if row.ndim == 1 else row[0]
-        u = rng.random()
-        k = int(np.searchsorted(np.cumsum(row), u, side="right"))
-        k = min(k, len(cols) - 1)
-        log_size -= math.log(row[k])
-        t = int(cols[k])
-        path.append(t + 1)
-    return tuple(path), log_size
+        types, logs = _expand(env, types, logs, rng, _fall)
+        landed = logs > -np.inf
+        types, logs = types[landed], logs[landed]
+        path.append(int(types[0]) + 1)
+    return tuple(path), -float(logs[0])
+
+
+def _fall(logs, rows, rng):
+    """One ball per box: the child it falls into gets the box's ln mass plus
+    its own, every other child -inf."""
+    hit = _split_counts(np.ones(logs.shape[0], dtype=np.int64), rows, rng) > 0
+    return np.where(hit, _log_masses(logs, rows, rng), -np.inf)
 
 
 def coupon_time(

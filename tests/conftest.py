@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
 
 import trielab as tl
+from trielab.errors import NotRegular
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much])
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +43,32 @@ def env_mixture():
         [0.5, 0.5],
         [[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.9, 0.1]]],
     )
+
+
+@st.composite
+def random_envs(draw):
+    """Deterministic, Dirichlet or mixture environments on random
+    positive-regular supports, K <= 4."""
+    K = draw(st.integers(2, 4))
+    support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=K, max_size=K),
+                                     min_size=K, max_size=K)))
+    assume((support.sum(axis=1) >= 2).all())
+
+    def matrix(lo, hi):
+        vals = draw(st.lists(st.floats(lo, hi), min_size=K * K, max_size=K * K))
+        return np.where(support, np.array(vals).reshape(K, K), 0.0)
+
+    def stochastic():
+        rows = matrix(0.05, 1.0)
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    kind = draw(st.sampled_from(["deterministic", "dirichlet", "mixture"]))
+    try:
+        if kind == "deterministic":
+            return tl.deterministic_env(stochastic())
+        if kind == "dirichlet":
+            return tl.dirichlet_env(matrix(0.1, 5.0))
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3)))
+        return tl.mixture_env(weights / weights.sum(), [stochastic() for _ in weights])
+    except NotRegular:
+        assume(False)

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from trielab.cli import (
     parse_report,
     run_converge,
 )
-from trielab.errors import ConfigError, DegenerateX
+from trielab.errors import CapExceeded, ConfigError, DegenerateX
 
 IID_ENV = "[env]\nkind = deterministic\nK = 2\nrow.1 = 0.7 0.3\nrow.2 = 0.7 0.3\n"
 DIRICHLET_ENV = "[env]\nkind = dirichlet\nK = 2\nalpha.1 = 1 1\nalpha.2 = 1 1\n"
@@ -210,9 +211,13 @@ def test_cli_profile_and_coupon(tmp_path, iid_env_file):
 # --------------------------------------------------------------------------
 
 def run_cli(args):
+    # the subprocess imports the same trielab as this test, whatever its PYTHONPATH
+    src = str(Path(tl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "trielab.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     return proc.returncode, proc.stderr.strip()
 
@@ -255,6 +260,48 @@ def test_m_grid_past_the_level_budget_is_refused(tmp_path, iid_env_file, monkeyp
     ExperimentConfig(env_path="", mode="converge", j=8, m_grid=[2 ** 23]).validate(2)
     ExperimentConfig(env_path="", mode="converge", alpha=0.5,
                      m_grid=[2 ** 20]).validate(5)
+
+
+@pytest.mark.parametrize("args,message", [
+    (("profile", "--depth=-3"), "--depth must lie in 0..10000"),
+    (("profile", "--depth=10001"), "--depth must lie in 0..10000"),
+    (("coupon", "--depth=-2"), "--depth must lie in 0..10000"),
+    (("coupon", "--cap=-1"), "--cap must be >= 1"),
+    (("profile", "--cap=0"), "--cap must be >= 1"),
+])
+def test_out_of_range_depth_and_cap_are_refused(tmp_path, iid_env_file, capsys, args, message):
+    out = tmp_path / "r.csv"
+    assert main([*args, f"--env={iid_env_file}", f"--out={out}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_depth_and_cap_ends_are_accepted(iid_env_file):
+    for depth, cap in ((0, 1), (tl.sim.DEFAULT_DEPTH_CAP, 1)):
+        config = build_config(["profile", f"--env={iid_env_file}", f"--depth={depth}",
+                               f"--cap={cap}", "--out=x.csv"])
+        assert (config.depth, config.cap) == (depth, cap)
+
+
+def test_m_grid_refusals_are_bounded_in_memory(iid_env_file):
+    # 3 million points cannot rise strictly from 1024 to 1055; the refusal
+    # comes from the ends in logs, before any list of points is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="cannot be strictly increasing"):
+            build_config(["converge", f"--env={iid_env_file}", "--m-grid=1024:1.00000001:3000000",
+                          "--out=x.csv"])
+        with pytest.raises(CapExceeded, match="passes the float range"):
+            build_config(["converge", f"--env={iid_env_file}", "--m-grid=2:2:" + "9" * 400,
+                          "--out=x.csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # the smallest strictly increasing grids still pass: 1, 2 from 1 x 1.6
+    assert build_config(["converge", f"--env={iid_env_file}", "--m-grid=1:1.6:2",
+                         "--out=x.csv"]).m_grid == [1, 2]
 
 
 def test_exit_code_coupon_past_int64(tmp_path):

@@ -147,7 +147,7 @@ def test_laplace_theta_one_matches_sampling_mean(env_iid, env_dirichlet, env_mix
     n = 100_000
     for env in (env_iid, env_dirichlet, env_mixture):
         rng = np.random.default_rng(314)
-        draws = np.array([tl.sample_row(env, 1, rng) for _ in range(n)])
+        draws = tl.sample_rows(env, np.zeros(n, dtype=int), rng)
         for j in range(env.K):
             mean = draws[:, j].mean()
             want = tl.laplace_entry(env, 1, j + 1, 1.0)
@@ -161,15 +161,14 @@ def test_laplace_theta_one_matches_sampling_mean(env_iid, env_dirichlet, env_mix
 
 def test_sample_row_deterministic(env_iid):
     rng = np.random.default_rng(0)
-    assert np.array_equal(tl.sample_row(env_iid, 1, rng), [0.7, 0.3])
+    assert np.array_equal(tl.sample_rows(env_iid, [0], rng), [[0.7, 0.3]])
 
 
 def test_sample_row_sums_to_one(env_dirichlet, env_mixture):
     rng = np.random.default_rng(5)
     for env in (env_dirichlet, env_mixture):
         for i in (1, 2):
-            for _ in range(100):
-                row = tl.sample_row(env, i, rng)
+            for row in tl.sample_rows(env, np.full(100, i - 1), rng):
                 assert abs(row.sum() - 1.0) <= 1e-12
                 assert ((row > 0) == env.support[i - 1]).all()
 
@@ -177,7 +176,7 @@ def test_sample_row_sums_to_one(env_dirichlet, env_mixture):
 def test_sample_row_mixture_weights(env_mixture):
     rng = np.random.default_rng(11)
     n = 100_000
-    hits = sum(tl.sample_row(env_mixture, 1, rng)[0] == 0.9 for _ in range(n))
+    hits = (tl.sample_rows(env_mixture, np.zeros(n, dtype=int), rng)[:, 0] == 0.9).sum()
     se = math.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) <= 3 * se
 
@@ -185,9 +184,43 @@ def test_sample_row_mixture_weights(env_mixture):
 def test_sample_row_respects_restricted_support():
     env = tl.dirichlet_env([[1.0, 2.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.0, 1.5]])
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        row = tl.sample_row(env, 1, rng)
+    for row in tl.sample_rows(env, np.zeros(50, dtype=int), rng):
         assert row[2] == 0.0 and row[0] > 0 and row[1] > 0
+
+
+MOMENT_ENVS = {
+    "deterministic": lambda: tl.deterministic_env([[0.9, 0.1], [0.2, 0.8]]),
+    "dirichlet": lambda: tl.dirichlet_env([[1.0, 1.0], [1.0, 1.0]]),
+    "mixture": lambda: tl.mixture_env(
+        [0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.9, 0.1]]]),
+    "sparse-dirichlet": lambda: tl.dirichlet_env(
+        [[1.0, 2.0, 0.5], [0.7, 0.0, 1.3], [0.0, 2.0, 1.0]]),
+    # every alpha of rows 1 and 2 tiny: numpy draws such rows by stick-breaking;
+    # normalised gamma variates would all underflow in about 1% of row-2 draws
+    "small-alpha": lambda: tl.dirichlet_env(
+        [[0.02, 0.02, 0.02], [0.002, 0.002, 0.002], [0.5, 0.0, 1.5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_ENVS))
+def test_sample_rows_match_the_tilted_moments(name):
+    # one sample_rows call over every type at once: E[p_ij^theta] within 4
+    # standard errors of the analytic moments, exact zeros off the support
+    env = MOMENT_ENVS[name]()
+    n = 40_000
+    types = np.repeat(np.arange(env.K), n)
+    rows = tl.sample_rows(env, types, np.random.default_rng((21, sorted(MOMENT_ENVS).index(name))))
+    assert rows.shape == (env.K * n, env.K)
+    assert not np.isnan(rows).any()
+    assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+    assert (rows[~env.support[types]] == 0.0).all()
+    for theta in (0.5, 2.0):
+        want = np.exp(tl.envs.log_moment_matrix(env, theta))
+        for i in range(env.K):
+            powers = rows[types == i] ** theta
+            se = powers.std(axis=0, ddof=1) / math.sqrt(n)
+            for j in env.supported_cols[i]:
+                assert abs(powers[:, j].mean() - want[i, j]) <= 4 * se[j] + 1e-12, (theta, i, j)
 
 
 # --------------------------------------------------------------------------

@@ -46,43 +46,43 @@ RUNS = {
 
 DIGESTS = {
     "coupon-dirichlet.json":
-        "eeebc5eed4f671ee714aa2bb81b55ec8ca4447a16e34591b03b77db516d86823",
+        "e57bb9693df09a803366ee6f58080825d7e568a83634a9270c3301d27c97c9b7",
     "coupon-markov.csv":
-        "5c6f1efee139a6f114112e24e6d45f49597271f0e4cdc3b6c792ee718b2b8997",
+        "78227808fdf237f96690ea69d4746064eece3247e12b305a8f93261add06dd86",
     "power-iid.csv":
-        "2c8e6a6f64e41e263230f025c3315d291f36258f99ee551e5d054313c092c409",
+        "f8ddd69baf421f2d8e80adb3dde2c96fc477b95adb1e76cc93c2adfa6a2063cc",
     "profile-dirichlet.json":
-        "5161e1a23ec53379c287117e35a1c64cdf0f6495658b65c62fdeb83d2755f502",
+        "6bfe1188628f102a8f85a3bbdca17c2c2ce62b2c08e5ba02471349ef661f1def",
     "profile-markov-truncated.csv":
         "272822130d63fb8fa98de1ec291075b01358ff860bc8b9e5335afe3e7686aa20",
     "profile-markov.csv":
-        "d66f9214c44a2a2187a2c96656bf742e7041ffc7e1abe523df59240195236eee",
+        "3dc1c9b4bf15cc428c0a3921f3ba00eb4c76f7ddd0092e5fa499c4d6c9a9595b",
     "profile-mixture.csv":
-        "f44c21ffbba80dbb918ba96b6080fc7ed0bb341e8f450c46103ff6693f5cd772",
+        "a7245c0a87000091081b857b2733924ad0c8a84d545e389e07cd97b3987a4083",
     "profile-sparse3-truncated.json":
         "15daa3935b43e33e6b9872b6fbd3e5d038d4bfb3d01c376c448e9c4397858da8",
     "profile-sparse3.json":
-        "fd023e0a781531f58597a277f3f1e64bb5f3aee9fc7bbde29a7a508b8f9f7cfe",
+        "11d24c421030c13528175ffcae269f87508c44d8790186020976bfceb4ea8ce6",
     "simulate-dirichlet-j1.csv":
-        "ea10dc02bb764a0e86b96784af7901034cc12e40727546b124f1cb3a36b1676e",
+        "2cdcf217475e2ff9cef4a09019611c9acc4f26ff8bfbfc412e28ea8f75775555",
     "simulate-dirichlet-j2.csv":
-        "1974432f60210325ad8279df6235eb3dc3bd693a994ad2ba867ad6976c78a36a",
+        "0085dd5c1b838bcefe1daea361ea1ff2534c004b1dc61ee462ed4a15f943a671",
     "simulate-dirichlet-j2.json":
-        "02b8e52d546f0d24231bce49a6caebe28abf270c8a37021c154f63f2c4f75381",
+        "2978cdb11489a3e0c0b48e363504e0528d7047c4780f47adc113915a79b56e43",
     "simulate-dirichlet-j8.csv":
-        "2a795d370f846425f5bb0bc8c54d0deb19afe6aa72428ccff7c9ac845bbacca7",
+        "23ac6ec8ad32f5bf7fad64a63583da97d95192ba7971413c3e96eeb3f7c5b06e",
     "simulate-markov-j1.csv":
-        "e582709d063eb3c90aa02d37e6081abdb2249e487fa32b10652cdfa7d2e87aa7",
+        "6223b3ab3d3d4944c906fe097ed2e643082f8bb60a863d79eb121f9e4e4cc2e3",
     "simulate-markov-j2.csv":
-        "af46cace80629c9396e5bb8eb69aa230b809b595c57a0fa0b507030d6f4fa711",
+        "fc94c278e1d3f536e2cbbe9926e26f901cfc7b0bb34391aea8ebd5b133c9577f",
     "simulate-markov-j8.csv":
-        "89c8d6c6b99f51d3fbc1498c96203ed1a1f6ffb03fbe0d5ffb11ec23588d1b08",
+        "43c5c202c60e86daf1318b291224b2b41d18fcf95ee90ed24afaec33519764dd",
     "simulate-mixture-j1.csv":
-        "41626868c185515415574b3eea68d24afa091a85bf9a03d799f6d1fa8a1c427d",
+        "2b3cdc9a898b012f2b8e3632c260e463e8d466d91e40d552dbdc74c3767194c1",
     "simulate-mixture-j2.csv":
-        "49f802b1cb2e925f042228517cf00382f913ec30f17111c39108e61f3f0af544",
+        "62d05a204189882d95ca7e158e0cd875b45d5afe87bbbcdf03e95c2709f2ad5e",
     "simulate-mixture-j8.csv":
-        "41f84014b79eca94eee01802f936f24da9a5c7fc01af7e9dc3cc8ad5dbdd7422",
+        "6e678fc659fba7117ce4a41bb73d003625e193f97bf6e47eac1f7ed544df9354",
 }
 
 

@@ -5,20 +5,22 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import trielab as tl
 from trielab import sim
+from trielab.envs import DETERMINISTIC, DIRICHLET, EnvironmentModel
 from trielab.errors import (
     CapExceeded,
     DepthCapExceeded,
     HeightUndefined,
-    NotRegular,
     OutsideRegime,
 )
 from trielab.sim import positive_box_count
+
+from conftest import PROPERTY, random_envs
 
 LN2 = math.log(2.0)
 
@@ -206,14 +208,86 @@ def test_class_max_follows_the_enumerated_law():
     counts = np.array([4] * 50 + [6] * 7)
     table = sim._HeightTable(env, 2, C)
     rng = rng_of(17)
-    got = np.bincount([table.class_max(types, counts, rng, rows - 1) for _ in range(draws)],
-                      minlength=rows)
+    levels = np.zeros_like(types)
+    got = np.bincount([table.class_max(levels, types, counts, rng, rows - 1)
+                       for _ in range(draws)], minlength=rows)
     want = np.diff(cdf, prepend=0.0) * draws
     thick = want >= 10
     f_obs = np.append(got[thick], got[~thick].sum())
     f_exp = np.append(want[thick], want[~thick].sum())
     f_exp *= f_obs.sum() / f_exp.sum()
     assert stats.chisquare(f_obs, f_exp).pvalue > 0.001
+
+
+# An independent expansion step for _full_expansion: rows restricted to the
+# supported columns, drawn and split type by type.
+
+def _draw_rows(env: EnvironmentModel, i: int, n: int, rng: np.random.Generator):
+    """n realized rows for type i+1, restricted to its supported columns.
+
+    Returns a (n, s) array, or a (s,) array shared by all boxes when the
+    environment is deterministic.
+    """
+    cols = env.supported_cols[i]
+    if env.kind == DETERMINISTIC:
+        return env.rows[i, cols]
+    if env.kind == DIRICHLET:
+        return rng.dirichlet(env.alpha[i, cols], size=n)
+    picks = rng.choice(len(env.weights), size=n, p=env.weights)
+    return env.comps[picks][:, i][:, cols]
+
+
+def _split_counts(counts, rows, rng):
+    """Multinomial split of each count along its row (conditional binomials)."""
+    n = counts.shape[0]
+    if rows.ndim == 1:
+        s = rows.shape[0]
+        out = np.empty((n, s), dtype=np.int64)
+        remaining = counts.copy()
+        tail = 1.0
+        for t in range(s - 1):
+            p = min(max(rows[t] / tail, 0.0), 1.0)
+            drawn = rng.binomial(remaining, p)
+            out[:, t] = drawn
+            remaining -= drawn
+            tail -= rows[t]
+        out[:, s - 1] = remaining
+        return out
+    s = rows.shape[1]
+    out = np.empty((n, s), dtype=np.int64)
+    remaining = counts.copy()
+    tail = np.ones(n)
+    for t in range(s - 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(tail > 0.0, rows[:, t] / tail, 0.0)
+        np.clip(p, 0.0, 1.0, out=p)
+        drawn = rng.binomial(remaining, p)
+        out[:, t] = drawn
+        remaining -= drawn
+        tail = tail - rows[:, t]
+    out[:, s - 1] = remaining
+    return out
+
+
+def _expand(env, types, values, rng, split):
+    """Children of every box, type by type: (child types, child values).
+
+    The boxes of one type draw their rows in one _draw_rows call, and
+    split(values, rows, rng) gives each box one value per supported child,
+    in the order of supported_cols.
+    """
+    child_types = []
+    child_values = []
+    for i in range(env.K):
+        mask = types == i
+        ni = int(mask.sum())
+        if ni == 0:
+            continue
+        cols = env.supported_cols[i]
+        block = split(values[mask], _draw_rows(env, i, ni, rng), rng)
+        child_types.append(np.broadcast_to(cols, (ni, len(cols))).ravel())
+        child_values.append(block.ravel())
+    return np.concatenate(child_types), np.concatenate(child_values)
 
 
 def _full_expansion(env, m, j, rng):
@@ -231,7 +305,7 @@ def _full_expansion(env, m, j, rng):
             sat = depth
         if R == 0:
             return depth, sat
-        ctypes, ccounts = sim._expand(env, types, counts, rng, sim._split_counts)
+        ctypes, ccounts = _expand(env, types, counts, rng, _split_counts)
         keep = ccounts >= j
         types, counts = ctypes[keep], ccounts[keep]
         per_type = sim._advance_positive(support, per_type, m + 1)
@@ -261,6 +335,11 @@ LAW_ENVS = {
     "dirichlet": lambda: tl.dirichlet_env([[1.0, 1.0], [1.0, 1.0]]),
     "mixture": lambda: tl.mixture_env(
         [0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.9, 0.1]]]),
+    # K = 3 on sparse supports: every box draws a K-wide row, and row 2 of
+    # the last one ends on an unsupported column
+    "sparse-dirichlet": SPARSE_ENVS["dirichlet"],
+    "sparse-last-unsupported": lambda: tl.dirichlet_env(
+        [[1.0, 2.0, 0.5], [0.7, 1.3, 0.0], [0.0, 2.0, 1.0]]),
 }
 
 
@@ -291,6 +370,22 @@ def test_frozen_draws_honour_the_depth_cap(env_iid):
     assert (again.height, again.saturation) == (obs.height, obs.saturation)
     with pytest.raises(DepthCapExceeded):
         tl.simulate_occupancy(env_iid, 40, 2, rng_of(5), depth_cap=obs.height - 1)
+
+
+@pytest.mark.parametrize("name", ["sparse-dirichlet", "sparse-last-unsupported", "mixture"])
+def test_split_keeps_every_ball_on_the_support(name):
+    # 10^15 balls per box: a share of 1 - 1e-16 at the last supported column
+    # would pass about 0.1 ball per box on to the columns beyond it
+    env = LAW_ENVS[name]()
+    types = np.repeat(np.arange(env.K), 2000)
+    counts = np.full(types.shape, 10 ** 15, dtype=np.int64)
+    rng = rng_of(3)
+    split = sim._split_counts(counts, tl.sample_rows(env, types, rng), rng)
+    assert (split[~env.support[types]] == 0).all()
+    assert (split.sum(axis=1) == counts).all()
+    ctypes, ccounts = sim._expand(env, types, counts, rng, sim._split_counts)
+    parents = np.repeat(types, env.support[types].sum(axis=1))
+    assert ccounts.sum() == counts.sum() and env.support[parents, ctypes].all()
 
 
 # --------------------------------------------------------------------------
@@ -379,35 +474,45 @@ def test_truncated_profile_refuses_sums_outside_float64(env_markov):
         assert math.isfinite(prof.martingale[theta])
 
 
-@st.composite
-def positive_regular_envs(draw):
-    """Deterministic environments on random positive-regular supports, K <= 4."""
-    K = draw(st.integers(2, 4))
-    support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=K, max_size=K),
-                                     min_size=K, max_size=K)))
-    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=K * K,
-                                     max_size=K * K))).reshape(K, K)
-    rows = np.where(support, weights, 0.0)
-    assume((support.sum(axis=1) >= 2).all())
-    try:
-        return tl.deterministic_env(rows / rows.sum(axis=1, keepdims=True))
-    except NotRegular:
-        assume(False)
-
-
-@settings(max_examples=40, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.filter_too_much])
-@given(env=positive_regular_envs(), n=st.integers(0, 12), cap=st.integers(1, 10 ** 6))
+@settings(PROPERTY, max_examples=120)      # about 40 deterministic draws check the extremes
+@given(env=random_envs(), n=st.integers(0, 12), cap=st.integers(1, 10 ** 6))
 def test_level_walks_match_exact_support_paths(env, n, cap):
     paths = np.linalg.matrix_power(env.support.astype(object), n)[0].sum()
     assert positive_box_count(env, n, cap) == min(paths, cap + 1)
     assert positive_box_count(env, n, 10 ** 30) == paths
     short = min(n, 7)
-    _, logs = sim._enumerate_boxes(env, short, rng_of(0))
-    assert sim._extreme_paths(env, short) == (logs.min(), logs.max())
+    types, logs = sim._enumerate_boxes(env, short, rng_of(0))
+    # one child per supported column: the boxes are the support paths
+    want = np.linalg.matrix_power(env.support.astype(np.int64), short)[0]
+    assert np.array_equal(np.bincount(types, minlength=env.K), want)
+    if env.is_deterministic:
+        assert sim._extreme_paths(env, short) == (logs.min(), logs.max())
     start = time.perf_counter()
     assert positive_box_count(env, 300_000, 2 ** 20) == 2 ** 20 + 1
     assert time.perf_counter() - start < 0.1
+
+
+@PROPERTY
+@given(env=random_envs(), n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_level_sums_on_random_envs(env, n, seed):
+    # theta = 1 sums total the unit mass in every realization; fixed rows
+    # give the first row of the tilted matrix power at any theta
+    prof = tl.enumerate_level(env, n, theta_list=[1.0], rng=rng_of(seed))
+    assert prof.laplace[1.0].sum() == pytest.approx(1.0, abs=1e-9)
+    if env.is_deterministic:
+        for theta in (-1.0, 0.5, 2.0):
+            prof = tl.enumerate_level(env, n, theta_list=[theta])
+            want = np.linalg.matrix_power(tl.tilted_matrix(env, theta).entries, n)[0]
+            assert np.allclose(prof.laplace[theta], want, rtol=1e-9)
+
+
+@PROPERTY
+@given(env=random_envs(), m=st.integers(1, 400), j=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_saturation_below_height_on_random_envs(env, m, j, seed):
+    obs = tl.simulate_occupancy(env, m, j, rng_of(seed))
+    assert 0 <= obs.saturation <= obs.height
+    assert obs.max_depth_reached <= obs.height
 
 
 def test_random_env_over_cap_raises(env_dirichlet):

@@ -9,19 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 import trielab as tl
 from trielab import spectral
 from trielab.errors import (
     ConditionsNotMet,
-    NotRegular,
     NotStrictlyConvex,
     OutsideRegime,
     ThetaOutOfDomain,
     ZOutOfRange,
 )
+
+from conftest import PROPERTY, random_envs
 
 LN2 = math.log(2.0)
 
@@ -502,40 +502,7 @@ def test_import_and_constants_leave_scipy_optimize_and_linalg_unloaded():
 # properties over random environments
 # --------------------------------------------------------------------------
 
-@st.composite
-def random_envs(draw):
-    """Deterministic, Dirichlet or mixture environments on random
-    positive-regular supports, K <= 4."""
-    K = draw(st.integers(2, 4))
-    support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=K, max_size=K),
-                                     min_size=K, max_size=K)))
-    assume((support.sum(axis=1) >= 2).all())
-
-    def matrix(lo, hi):
-        vals = draw(st.lists(st.floats(lo, hi), min_size=K * K, max_size=K * K))
-        return np.where(support, np.array(vals).reshape(K, K), 0.0)
-
-    def stochastic():
-        rows = matrix(0.05, 1.0)
-        return rows / rows.sum(axis=1, keepdims=True)
-
-    kind = draw(st.sampled_from(["deterministic", "dirichlet", "mixture"]))
-    try:
-        if kind == "deterministic":
-            return tl.deterministic_env(stochastic())
-        if kind == "dirichlet":
-            return tl.dirichlet_env(matrix(0.1, 5.0))
-        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3)))
-        return tl.mixture_env(weights / weights.sum(), [stochastic() for _ in weights])
-    except NotRegular:
-        assume(False)
-
-
-_PROPERTY = settings(max_examples=40, deadline=None, database=None,
-                     suppress_health_check=[HealthCheck.filter_too_much])
-
-
-@_PROPERTY
+@PROPERTY
 @given(env=random_envs())
 def test_log_rho_is_convex_and_f_is_unimodal(env):
     # Kingman (1961): log rho is convex, so f' = -theta d' >= 0 for theta < 0
@@ -557,7 +524,7 @@ def test_log_rho_is_convex_and_f_is_unimodal(env):
     assert f[thetas == 0.0][0] >= LN2 - 1e-12
 
 
-@_PROPERTY
+@PROPERTY
 @given(env=random_envs())
 def test_rho_is_one_at_theta_one_and_envs_round_trip(env):
     # the theta = 1 moment matrix is row-stochastic
