@@ -494,13 +494,17 @@ def _parse_m_grid(text: str) -> list:
         raise ConfigError(f"--m-grid must be START:FACTOR:COUNT, got {text!r}") from None
     if start < 1 or count < 1 or factor <= 1.0:
         raise ConfigError(f"--m-grid needs start >= 1, count >= 1, factor > 1, got {text!r}")
-    # checked in logs before the list is built: its length is count
+    # checked from its ends before the list is built: its length is count
     try:
         log_last = math.log(start) + (count - 1) * math.log(factor)
     except OverflowError:                           # count past the float range
         log_last = math.inf
-    if log_last > math.log(sys.float_info.max):
-        raise CapExceeded(f"--m-grid {text!r} passes the float range")
+    top = sim._INT64_MAX
+    if log_last > math.log(top) or round(start * factor ** (count - 1)) > top:
+        raise CapExceeded(f"--m-grid {text!r} passes the int64 range")
+    if count * 8 > LEVEL_BYTES:
+        raise CapExceeded(f"--m-grid {text!r} holds {count} int64 points, past the "
+                          f"{LEVEL_BYTES} byte budget")
     if math.log(count - 0.5) > log_last:
         raise ConfigError(f"--m-grid {text!r} cannot be strictly increasing: its last point "
                           f"{math.exp(log_last):.6g} rounds below its count {count}")

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .errors import (
     BadAlpha,
@@ -279,6 +278,20 @@ def _require_in_domain(env: EnvironmentModel, theta: float) -> None:
         )
 
 
+# B_2k / (2k) for k = 1..7: psi's asymptotic series in 1/y^2k
+_PSI_SERIES = np.array([1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12])
+
+
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """psi(x) for x > 0: psi(x) = psi(x + 10) - sum_{i<10} 1/(x + i), then at
+    y = x + 10 >= 10 the series ln y - 1/(2y) - sum_k B_2k / (2k y^2k), whose
+    first omitted term is below 5e-17 there.  Vectorized over x."""
+    y = x + 10.0
+    series = ((1.0 / (y * y))[..., None] ** np.arange(1, 8)) @ _PSI_SERIES
+    steps = (1.0 / (x[..., None] + np.arange(10))).sum(axis=-1)
+    return np.log(y) - 0.5 / y - series - steps
+
+
 def log_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
     """ln m_ij(theta) on supported entries, -inf elsewhere."""
     _require_in_domain(env, theta)
@@ -288,13 +301,10 @@ def log_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
     if env.kind == DETERMINISTIC:
         out[sup] = theta * np.log(env.rows[sup])
     elif env.kind == DIRICHLET:
-        a = env.alpha
-        a0 = np.where(sup, a, 0.0).sum(axis=1, keepdims=True)
-        a0 = np.broadcast_to(a0, a.shape)
-        out[sup] = (
-            gammaln(a0[sup]) + gammaln(a[sup] + theta)
-            - gammaln(a0[sup] + theta) - gammaln(a[sup])
-        )
+        a, a0 = env.alpha[sup], env.alpha.sum(axis=1)[np.nonzero(sup)[0]]
+        args = np.concatenate([a0, a + theta, a0 + theta, a]).tolist()
+        g0, g_theta, g0_theta, g = np.array([math.lgamma(v) for v in args]).reshape(4, -1)
+        out[sup] = g0 + g_theta - g0_theta - g
     else:
         # unsupported entries get a finite placeholder and are masked out below
         logp = np.log(np.where(env.comps > 0, env.comps, 1.0))
@@ -313,10 +323,9 @@ def dlog_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
     if env.kind == DETERMINISTIC:
         out[sup] = np.log(env.rows[sup])
     elif env.kind == DIRICHLET:
-        a = env.alpha
-        a0 = np.where(sup, a, 0.0).sum(axis=1, keepdims=True)
-        a0 = np.broadcast_to(a0, a.shape)
-        out[sup] = digamma(a[sup] + theta) - digamma(a0[sup] + theta)
+        a, a0 = env.alpha[sup], env.alpha.sum(axis=1)[np.nonzero(sup)[0]]
+        psi, psi0 = _digamma(np.concatenate([a + theta, a0 + theta])).reshape(2, -1)
+        out[sup] = psi - psi0
     else:
         logp = np.log(np.where(env.comps > 0, env.comps, 1.0))
         expo = theta * logp + np.log(env.weights)[:, None, None]

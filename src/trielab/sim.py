@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import betaln, gammaln, xlog1py, xlogy
 
 from . import spectral
 from .envs import DETERMINISTIC, DIRICHLET, EnvironmentModel, sample_rows
@@ -145,6 +144,12 @@ def _advance_positive(support, per_type, cap):
     return np.minimum(per_type @ support, cap)
 
 
+def _log_rising(a, C):
+    """ln[Gamma(a + k) / (Gamma(a) k!)] for k = 0..C, as the cumulative sum of
+    ln(1 + (a - 1)/(i + 1)): its partial sums stay small for a near 0 or 1."""
+    return np.concatenate(([0.0], np.cumsum(np.log1p((a - 1.0) / np.arange(1, C + 1)))))
+
+
 def _split_pmfs(env, i, C):
     """Exact split law of a type-(i+1) box, as chains over its supported children.
 
@@ -152,32 +157,35 @@ def _split_pmfs(env, i, C):
     components, else one).  steps holds (col, B) with B[r, x] the probability
     that child `col` takes x of the r balls still unassigned; `last` takes
     the rest.  Fixed rows give conditional binomials, as _split_counts draws
-    them; Dirichlet rows give beta-binomials, by stick-breaking.
+    them; Dirichlet rows give beta-binomials, by stick-breaking, with
+    ln P(x | r) = L_a[x] + L_b[r - x] - L_(a+b)[r] for L_a = _log_rising(a, C).
     """
     cols = env.supported_cols[i]
     r = np.arange(C + 1)[:, None]
     x = np.arange(C + 1)[None, :]
     below = x <= r
     xs, rest = np.minimum(x, r), np.maximum(r - x, 0)
-    log_comb = gammaln(r + 1) - gammaln(xs + 1) - gammaln(rest + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, C + 1)))))
+    log_comb = log_fact[r] - log_fact[xs] - log_fact[rest]
 
     def chain(log_pmf_of):
         steps = []
         for t, col in enumerate(cols[:-1]):
-            B = np.where(below, np.exp(log_comb + log_pmf_of(t)), 0.0)
+            B = np.where(below, np.exp(log_pmf_of(t)), 0.0)
             steps.append((int(col), B))
         return steps, int(cols[-1])
 
     def binomial(row):
+        # 1 - p from the tails: never 0 before the last column, even where p rounds to 1
         tails = np.cumsum(row[::-1])[::-1]
-        return lambda t: (xlogy(xs, row[t] / tails[t])
-                          + xlog1py(rest, -row[t] / tails[t]))
+        log_p, log_q = np.log(row[:-1] / tails[:-1]), np.log(tails[1:] / tails[:-1])
+        return lambda t: log_comb + xs * log_p[t] + rest * log_q[t]
 
     if env.kind == DIRICHLET:
         a = env.alpha[i, cols]
-        tails = np.cumsum(a[::-1])[::-1]
-        pmf = lambda t: (betaln(xs + a[t], rest + tails[t] - a[t])
-                         - betaln(a[t], tails[t] - a[t]))
+        tails = np.cumsum(a[::-1])[::-1]            # tails[t] = a[t] + tails[t + 1]
+        pmf = lambda t: (_log_rising(a[t], C)[xs] + _log_rising(tails[t + 1], C)[rest]
+                         - _log_rising(tails[t], C)[r])
         return [(1.0, *chain(pmf))]
     if env.kind == DETERMINISTIC:
         return [(1.0, *chain(binomial(env.rows[i, cols])))]

@@ -97,7 +97,6 @@ class ConstantsReport:
 class SpectralProfile:
     thetas: np.ndarray
     shapes: tuple                   # ShapeValues per grid point, ascending theta
-    triplets: tuple                 # PerronTriplet per grid point
     constants: ConstantsReport
 
 
@@ -464,7 +463,7 @@ def predicted_saturation_constant(env: EnvironmentModel) -> float:
 
 
 def spectral_profile(env: EnvironmentModel, theta_grid: Sequence[float]) -> SpectralProfile:
-    """Tabulated shape values, eigen-triplets, and constants over a theta grid."""
+    """Tabulated shape values and constants over a theta grid."""
     for idx, theta in enumerate(theta_grid):
         if not (env.domain_lo < theta < env.domain_hi):
             raise ThetaOutOfDomain(
@@ -473,14 +472,8 @@ def spectral_profile(env: EnvironmentModel, theta_grid: Sequence[float]) -> Spec
                 grid_index=idx,
             )
     thetas = np.sort(np.asarray(theta_grid, dtype=float))
-    shapes = []
-    triplets = []
-    for theta in thetas:
-        shapes.append(shape_values(env, theta))
-        triplets.append(perron_triplet(tilted_matrix(env, theta)))
     return SpectralProfile(
         thetas=thetas,
-        shapes=tuple(shapes),
-        triplets=tuple(triplets),
+        shapes=tuple(shape_values(env, theta) for theta in thetas),
         constants=asymptotic_constants(env),
     )

@@ -248,7 +248,8 @@ def test_m_grid_past_the_level_budget_is_refused(tmp_path, iid_env_file, monkeyp
 
     monkeypatch.setattr(tl.sim, "_run_levels", levels)
     for mode, grid, j in (("converge", "1024:1e20:3", "2"), ("converge", "1024:1e200:3", "2"),
-                          ("simulate", f"{2 ** 23}:2:2", "1")):
+                          ("simulate", f"{2 ** 23}:2:2", "1"),
+                          ("simulate", f"{10 ** 19}:2:1", f"{10 ** 19}")):   # m past int64
         out = tmp_path / "m.csv"
         assert main([mode, "--env", iid_env_file, "--j", j, "--m-grid", grid, "--reps", "2",
                      "--out", str(out)]) == 5
@@ -292,9 +293,14 @@ def test_m_grid_refusals_are_bounded_in_memory(iid_env_file):
         with pytest.raises(ConfigError, match="cannot be strictly increasing"):
             build_config(["converge", f"--env={iid_env_file}", "--m-grid=1024:1.00000001:3000000",
                           "--out=x.csv"])
-        with pytest.raises(CapExceeded, match="passes the float range"):
+        with pytest.raises(CapExceeded, match="passes the int64 range"):
             build_config(["converge", f"--env={iid_env_file}", "--m-grid=2:2:" + "9" * 400,
                           "--out=x.csv"])
+        # 3.6e9 points rising to about 4.4e18: inside int64 and above the
+        # count, so the byte budget of the points themselves refuses it
+        with pytest.raises(CapExceeded, match="3600000000 int64 points, past the"):
+            build_config(["converge", f"--env={iid_env_file}",
+                          "--m-grid=1024:1.00000001:3600000000", "--out=x.csv"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

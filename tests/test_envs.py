@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import trielab as tl
+from trielab import envs
 from trielab.errors import (
     BadAlpha,
     BadRows,
@@ -120,6 +121,17 @@ def test_laplace_mixture(env_mixture):
     assert tl.laplace_entry(env_mixture, 1, 1, 2.0) == pytest.approx(
         0.5 * 0.5 ** 2 + 0.5 * 0.9 ** 2, rel=1e-14
     )
+
+
+def test_lgamma_and_digamma_match_scipy():
+    # the Dirichlet log moments take the stdlib lgamma and envs._digamma; scipy
+    # is the independent reference (relative error, absolute where |value| < 1)
+    x = np.concatenate([np.geomspace(1e-6, 1e20, 60_000), np.linspace(1e-6, 20.0, 20_000)])
+    lgamma = np.vectorize(math.lgamma)
+    for ours, ref in ((lgamma, special.gammaln), (envs._digamma, special.digamma)):
+        want = ref(x)
+        err = np.abs(ours(x) - want) / np.maximum(np.abs(want), 1.0)
+        assert err.max() <= 4e-15, (ref.__name__, x[np.argmax(err)])
 
 
 def test_laplace_theta_zero_and_support():

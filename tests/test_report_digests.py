@@ -52,7 +52,7 @@ DIGESTS = {
     "power-iid.csv":
         "f8ddd69baf421f2d8e80adb3dde2c96fc477b95adb1e76cc93c2adfa6a2063cc",
     "profile-dirichlet.json":
-        "6bfe1188628f102a8f85a3bbdca17c2c2ce62b2c08e5ba02471349ef661f1def",
+        "78df7aa4133d70e4c2e3c26577ac620216f32aa2e8f2c5a394dd8d7f82873edd",
     "profile-markov-truncated.csv":
         "272822130d63fb8fa98de1ec291075b01358ff860bc8b9e5335afe3e7686aa20",
     "profile-markov.csv":

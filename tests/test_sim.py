@@ -182,6 +182,34 @@ def _enumerated_tails(env, j, C, rows):
     return [{key: 1.0 - f for key, f in F.items()} for F in tails]
 
 
+@pytest.mark.parametrize("env", [
+    *(make() for make in SPARSE_ENVS.values()),
+    tl.dirichlet_env([[0.01, 0.02, 0.005], [0.003, 0.05, 0.01], [0.02, 0.001, 0.04]]),
+], ids=[*SPARSE_ENVS, "dirichlet-small-alpha"])
+def test_split_chains_match_scipy_binomials(env):
+    # every chain step against scipy.stats: a conditional binomial of the
+    # column's share of the row's tail, or the beta-binomial of stick-breaking
+    C = sim.C0
+    r, x = np.arange(C + 1)[:, None], np.arange(C + 1)[None, :]
+    for i in range(env.K):
+        cols = env.supported_cols[i]
+        chains = sim._split_pmfs(env, i, C)
+        steps = range(len(cols) - 1)
+        if env.kind == DIRICHLET:
+            a = env.alpha[i, cols]
+            laws = [(1.0, [stats.betabinom(r, a[t], a[t + 1:].sum()) for t in steps])]
+        else:
+            comps = [(1.0, env.rows)] if env.kind == DETERMINISTIC else zip(env.weights, env.comps)
+            laws = [(q, [stats.binom(r, rows[i, cols[t]] / rows[i, cols[t:]].sum())
+                         for t in steps]) for q, rows in comps]
+        assert len(chains) == len(laws)
+        for (weight, chain, last), (q, want) in zip(chains, laws):
+            assert weight == q and last == cols[-1]
+            assert [col for col, _ in chain] == list(cols[:-1])
+            for (_, B), law in zip(chain, want):
+                assert np.abs(B - law.pmf(x)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("kind", sorted(SPARSE_ENVS))
 @pytest.mark.parametrize("j", [2, 3])
 def test_height_table_matches_enumerated_splits(kind, j):

@@ -244,8 +244,9 @@ def test_rate_out_of_range(env_iid):
 def test_rate_dirichlet_near_zero_drift_matches_closed_form(env_dirichlet):
     # the drift -1/(1 + theta) reaches z only at theta = -1/z - 1, so the
     # bracket has no cap, and the rate is infinite at z = 0 itself.  At
-    # z = -1e-9, theta ~ 1e9, where ln Gamma is ~2e10 and its rounding
-    # (~4e-6 absolute) limits the log moments, hence rel = 1e-7.
+    # z = -1e-9, theta ~ 1e9: the log moment is a difference of lgamma
+    # values of ~2e10, whose rounding (~4e-6 absolute, for any ln Gamma in
+    # float64) cancels into it, hence rel = 1e-7 (the error is 7e-8).
     for z in (-1e-3, -1e-6, -1e-9):
         want = -1.0 - 2.0 * z - math.log(-2.0 * z)
         assert tl.rate_function(env_dirichlet, z) == pytest.approx(want, rel=1e-7)
@@ -483,13 +484,14 @@ def test_constants_solve_few_points(env_dirichlet, env_mixture, monkeypatch):
         calls.clear()
 
 
-def test_import_and_constants_leave_scipy_optimize_and_linalg_unloaded():
+def test_import_and_constants_leave_scipy_unloaded():
+    # scipy is a test-only reference: the package runs on numpy alone
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, trielab as tl\n"
             "tl.asymptotic_constants(tl.dirichlet_env([[1.0, 1.0], [1.0, 1.0]]))\n"
             "tl.asymptotic_constants(tl.mixture_env([0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]],"
             " [[0.9, 0.1], [0.9, 0.1]]]))\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
