@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -82,6 +83,15 @@ class EnvironmentModel:
 
     def __hash__(self) -> int:
         return hash(self._payload_bytes())
+
+    @cached_property
+    def _dirichlet_terms(self) -> tuple:
+        """The theta-free parts of Dirichlet log moments, taken once: the row
+        of each supported entry (row-major), its alpha, the row sums a0, and
+        lgamma(a0) per entry and lgamma(alpha)."""
+        rows = np.nonzero(self.support)[0]
+        a, a0 = self.alpha[self.support], self.alpha.sum(axis=1)
+        return rows, a, a0, _lgamma(a0)[rows], _lgamma(a)
 
 
 @dataclass(frozen=True)
@@ -292,6 +302,10 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     return np.log(y) - 0.5 / y - series - steps
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
 def log_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
     """ln m_ij(theta) on supported entries, -inf elsewhere."""
     _require_in_domain(env, theta)
@@ -301,10 +315,8 @@ def log_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
     if env.kind == DETERMINISTIC:
         out[sup] = theta * np.log(env.rows[sup])
     elif env.kind == DIRICHLET:
-        a, a0 = env.alpha[sup], env.alpha.sum(axis=1)[np.nonzero(sup)[0]]
-        args = np.concatenate([a0, a + theta, a0 + theta, a]).tolist()
-        g0, g_theta, g0_theta, g = np.array([math.lgamma(v) for v in args]).reshape(4, -1)
-        out[sup] = g0 + g_theta - g0_theta - g
+        rows, a, a0, g0, g = env._dirichlet_terms
+        out[sup] = g0 + _lgamma(a + theta) - _lgamma(a0 + theta)[rows] - g
     else:
         # unsupported entries get a finite placeholder and are masked out below
         logp = np.log(np.where(env.comps > 0, env.comps, 1.0))
@@ -323,9 +335,9 @@ def dlog_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
     if env.kind == DETERMINISTIC:
         out[sup] = np.log(env.rows[sup])
     elif env.kind == DIRICHLET:
-        a, a0 = env.alpha[sup], env.alpha.sum(axis=1)[np.nonzero(sup)[0]]
-        psi, psi0 = _digamma(np.concatenate([a + theta, a0 + theta])).reshape(2, -1)
-        out[sup] = psi - psi0
+        rows, a, a0, _, _ = env._dirichlet_terms
+        psi = _digamma(np.concatenate([a + theta, a0 + theta]))
+        out[sup] = psi[:a.size] - psi[a.size:][rows]
     else:
         logp = np.log(np.where(env.comps > 0, env.comps, 1.0))
         expo = theta * logp + np.log(env.weights)[:, None, None]
@@ -360,7 +372,10 @@ def sample_rows(env: EnvironmentModel, types, rng: np.random.Generator) -> np.nd
     if env.kind == DETERMINISTIC:
         return np.take(env.rows, types, axis=0)       # take: far faster than fancy indexing
     if env.kind == MIXTURE:
-        picks = rng.choice(len(env.weights), size=types.shape[0], p=env.weights)
+        # the inversion rng.choice(p=weights) makes, so the same picks,
+        # without its per-call argument checks
+        cdf = np.cumsum(env.weights)
+        picks = (cdf / cdf[-1]).searchsorted(rng.random(types.shape[0]), side="right")
         return np.take(env.comps.reshape(-1, env.K), picks * env.K + types, axis=0)
     rows = np.zeros((types.shape[0], env.K))
     for i in range(env.K):

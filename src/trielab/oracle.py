@@ -41,8 +41,9 @@ def brute_force_trie(words: WordSet, j: int):
     saturation: least length at which some supported sequence (reachable from
     type 1) occurs < j times, found by scanning whole levels.
     """
-    w = words.words
-    m, length = w.shape
+    length = words.words.shape[1]
+    w = words.words.tolist()            # rows of ints: numpy rows would slice to numpy scalars
+    support = words.support.tolist()
     height = None
     for n in range(length + 1):
         multiplicities = Counter(tuple(row[:n]) for row in w)
@@ -60,8 +61,8 @@ def brute_force_trie(words: WordSet, j: int):
             nxt = []
             for seq in level:
                 prev = seq[-1] if seq else 1
-                for k in range(words.support.shape[0]):
-                    if words.support[prev - 1, k]:
+                for k, supported in enumerate(support[prev - 1]):
+                    if supported:
                         nxt.append(seq + (k + 1,))
             level = nxt
             if len(level) > _LEVEL_SCAN_CAP:
@@ -109,36 +110,52 @@ def sample_words(env: EnvironmentModel, m: int, length: int, rng: np.random.Gene
 
     Deterministic environments give independent Markov chains.  Random
     environments realize one shared cascade: each visited node samples its
-    row once (all nodes of a step in one sample_rows call) and every ball
-    passing through reuses it.
+    row once and every ball passing through reuses it.
 
-    All balls move together: each step draws one uniform per ball and inverts
-    the cumulative row of the node the ball is in.
+    All randomness is drawn up front, and each step only indexes arrays.  One
+    (length, m) uniform block serves every step: ball b's letter at a step
+    inverts the cumulative row of its node at the uniform [step, b].
+    Deterministic rows turn the block into a table of the next type from every
+    type, (length, m, K), and give the words of `length` rng.random(m) calls.
+    Random environments draw, in one sample_rows call, a row for every (type,
+    step, node slot), K * length * m rows, and each step hands the nodes it
+    visits distinct slots, so every node's row is a fresh draw.  That is K^2
+    floats per word letter: 3072 for K = 2, m = 12 and length 64.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     K = env.K
     last = np.array([cols[-1] for cols in env.supported_cols])
     beyond = np.arange(K)[None, :] >= last[:, None]    # (K, K): at/after last supported
+    words = np.empty((m, length), dtype=np.int64)
+    state = np.zeros(m, dtype=np.int64)                # 0-based current type
 
     def cdf(rows, types):
         # +inf from the last supported column on: the rounding tail of the
         # cumulative sum falls to that column, never past it
         return np.where(beyond[types], np.inf, np.cumsum(rows, axis=1))
 
-    fixed = cdf(env.rows, np.arange(K)) if env.kind == DETERMINISTIC else None
-    words = np.empty((m, length), dtype=np.int64)
-    state = np.zeros(m, dtype=np.int64)                # 0-based current type
-    node = np.zeros(m, dtype=np.int64)                 # parent node id (random envs)
+    if env.kind == DETERMINISTIC:
+        u = rng.random((length, m))
+        nxt = (cdf(env.rows, np.arange(K)) <= u[:, :, None, None]).sum(axis=3)
+        balls = np.arange(m)
+        for step in range(length):
+            state = nxt[step, balls, state]
+            words[:, step] = state + 1
+        return WordSet(words=words, support=env.support)
+
+    types = np.repeat(np.arange(K), length * m)
+    cum = cdf(sample_rows(env, types, rng), types).reshape(K, length, m, K)
+    u = rng.random((length, m))[:, :, None]
+    node = np.zeros(m, dtype=np.int64)                 # parent node id
+    present = np.zeros(m * K, dtype=bool)
     for step in range(length):
-        if fixed is not None:
-            cum = fixed[state]
-        else:
-            # a ball's node is (parent node, last letter); compact the ids,
-            # then draw one row per node for all of its balls to share
-            _, first, node = np.unique(node * K + state, return_index=True, return_inverse=True)
-            types = state[first]
-            cum = cdf(sample_rows(env, types, rng), types)[node]
-        state = (cum <= rng.random(m)[:, None]).sum(axis=1)
+        # a ball's node is (parent node, last letter); compact the keys to
+        # ids 0..n-1 in key order, and give each node the row of its slot
+        key = node * K + state
+        present[:] = False
+        present[key] = True
+        node = (np.cumsum(present) - 1)[key]
+        state = (cum[state, step, node] <= u[step]).sum(axis=1)
         words[:, step] = state + 1
     return WordSet(words=words, support=env.support)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 import trielab as tl
@@ -16,6 +18,8 @@ from trielab.errors import (
     NotRegular,
     ThetaOutOfDomain,
 )
+
+from conftest import PROPERTY, random_envs
 
 
 # --------------------------------------------------------------------------
@@ -134,6 +138,33 @@ def test_lgamma_and_digamma_match_scipy():
         assert err.max() <= 4e-15, (ref.__name__, x[np.argmax(err)])
 
 
+def _dirichlet_moments_reference(env, theta):
+    # the per-entry formula: four lgamma and two digamma values per entry,
+    # the row sum a0 taken again for every entry of its row
+    sup = env.support
+    a, a0 = env.alpha[sup], env.alpha.sum(axis=1)[np.nonzero(sup)[0]]
+    args = np.concatenate([a0, a + theta, a0 + theta, a]).tolist()
+    g0, g_theta, g0_theta, g = np.array([math.lgamma(v) for v in args]).reshape(4, -1)
+    log_m = np.full((env.K, env.K), -np.inf)
+    log_m[sup] = g0 + g_theta - g0_theta - g
+    psi, psi0 = envs._digamma(np.concatenate([a + theta, a0 + theta])).reshape(2, -1)
+    dlog_m = np.zeros((env.K, env.K))
+    dlog_m[sup] = psi - psi0
+    return log_m, dlog_m
+
+
+@PROPERTY
+@given(env=random_envs(), offset=st.floats(1e-6, 1e3), log_scale=st.floats(-3.0, 6.0))
+def test_dirichlet_moments_match_the_per_entry_formula_bit_for_bit(env, offset, log_scale):
+    # row terms once per row and theta-free terms once per environment: the
+    # same values summed in the same order, so equal to the last bit
+    assume(env.kind == "dirichlet")
+    for theta in (env.domain_lo + offset, 10.0 ** log_scale):
+        log_m, dlog_m = _dirichlet_moments_reference(env, theta)
+        assert np.array_equal(envs.log_moment_matrix(env, theta), log_m)
+        assert np.array_equal(envs.dlog_moment_matrix(env, theta), dlog_m)
+
+
 def test_laplace_theta_zero_and_support():
     env = tl.dirichlet_env([[1.0, 2.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.0, 1.5]])
     for i in range(1, 4):
@@ -191,6 +222,19 @@ def test_sample_row_mixture_weights(env_mixture):
     hits = (tl.sample_rows(env_mixture, np.zeros(n, dtype=int), rng)[:, 0] == 0.9).sum()
     se = math.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) <= 3 * se
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_sample_rows_mixture_picks_are_rng_choice(n):
+    # the component picks are the ones rng.choice(M, p=weights) makes, and
+    # leave the stream where it leaves it
+    env = tl.mixture_env([0.2, 0.3, 0.5], [[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.9, 0.1]],
+                                           [[0.3, 0.7], [0.6, 0.4]]])
+    types = np.arange(n) % 2
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    picks = ref.choice(3, size=n, p=env.weights)
+    assert np.array_equal(tl.sample_rows(env, types, rng), env.comps[picks, types])
+    assert rng.random() == ref.random()
 
 
 def test_sample_row_respects_restricted_support():

@@ -172,6 +172,72 @@ def test_sample_words_random_env_shares_cascade(env_dirichlet):
     assert var > 100 / 16000
 
 
+def _row_pair_moments(env):
+    # (shared, fresh) for a row law that is the same for every type: two balls
+    # that draw from one row agree with probability E[sum_k p_k^2]; drawing
+    # from two independent rows, sum_k E[p_k]^2
+    if env.kind == "dirichlet":
+        assert (env.alpha == env.alpha[0]).all()
+        a = env.alpha[0]
+        a0 = a.sum()
+        return (a * (a + 1)).sum() / (a0 * (a0 + 1)), ((a / a0) ** 2).sum()
+    assert (env.comps == env.comps[:, :1]).all()
+    rows, q = env.comps[:, 0], env.weights
+    return q @ (rows ** 2).sum(axis=1), ((q @ rows) ** 2).sum()
+
+
+@pytest.mark.parametrize("name", ["env_dirichlet", "env_mixture"])
+def test_sample_words_random_env_law_past_the_first_letter(name, request):
+    # two balls, three letters.  Balls that took the same first letter sit in
+    # one node and share its row, so they agree at length 2 with probability
+    # shared^2 (4/9 for uniform rows; a row drawn afresh per ball at step 2
+    # gives shared * fresh = 1/3).  Balls whose first letters differ and
+    # whose second letters agree sit in two nodes of one type with a row each:
+    # their third letters agree with probability fresh (1/2; a row wrongly
+    # shared by the two nodes gives shared = 2/3)
+    env = request.getfixturevalue(name)
+    shared, fresh = _row_pair_moments(env)
+    runs = 8000
+    rng = np.random.default_rng(23)
+    w = np.array([tl.sample_words(env, 2, 3, rng).words for _ in range(runs)])
+    same = w[:, 0, :] == w[:, 1, :]                     # (runs, letter)
+    agree2 = int((same[:, 0] & same[:, 1]).sum())
+    assert stats.binomtest(agree2, runs, shared ** 2).pvalue > 0.001
+    assert stats.binomtest(agree2, runs, shared * fresh).pvalue < 0.001
+    apart = ~same[:, 0] & same[:, 1]
+    agree3 = int(same[apart, 2].sum())
+    assert stats.binomtest(agree3, int(apart.sum()), fresh).pvalue > 0.001
+    assert stats.binomtest(agree3, int(apart.sum()), shared).pvalue < 0.001
+
+
+def _reference_fixed_words(env, m, length, rng):
+    # the per-step loop: one rng.random(m) per step, each ball inverting the
+    # cumulative row of its current type
+    K = env.K
+    last = np.array([cols[-1] for cols in env.supported_cols])
+    beyond = np.arange(K)[None, :] >= last[:, None]
+    fixed = np.where(beyond, np.inf, np.cumsum(env.rows, axis=1))
+    words = np.empty((m, length), dtype=np.int64)
+    state = np.zeros(m, dtype=np.int64)
+    for step in range(length):
+        state = (fixed[state] <= rng.random(m)[:, None]).sum(axis=1)
+        words[:, step] = state + 1
+    return words
+
+
+@pytest.mark.parametrize("name", ["env_iid", "env_markov_b", "sparse"])
+@pytest.mark.parametrize("m,length,seed", [(1, 1, 0), (12, 64, 1), (40, 7, 2), (500, 30, 3)])
+def test_sample_words_fixed_rows_keep_their_stream(name, m, length, seed, request):
+    # row 2 of the sparse environment ends on an unsupported column, and its
+    # cumulative sum stops below 1 (0.7 + 0.29999999999999993 = 0.9999999999999999)
+    env = (tl.deterministic_env([[0.7, 0.2, 0.1], [0.7, 0.29999999999999993, 0.0],
+                                 [0.0, 0.7, 0.3]])
+           if name == "sparse" else request.getfixturevalue(name))
+    want = _reference_fixed_words(env, m, length, np.random.default_rng(seed))
+    got = tl.sample_words(env, m, length, np.random.default_rng(seed))
+    assert np.array_equal(got.words, want)
+
+
 def test_simulator_law_matches_word_oracle_smoke(env_markov_b):
     # small-sample agreement of height frequencies (full test in acceptance)
     runs = 400
