@@ -35,6 +35,7 @@ from .errors import (
 
 _SUM_TOL = 1e-12
 _MAX_SIG_DIGITS = 17
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 DETERMINISTIC = "deterministic"
 DIRICHLET = "dirichlet"
@@ -92,6 +93,37 @@ class EnvironmentModel:
         rows = np.nonzero(self.support)[0]
         a, a0 = self.alpha[self.support], self.alpha.sum(axis=1)
         return rows, a, a0, _lgamma(a0)[rows], _lgamma(a)
+
+    @cached_property
+    def _mixture_cdf(self) -> np.ndarray:
+        """The mixture weights' cumulative sums, normalized to end at 1."""
+        cdf = np.cumsum(self.weights)
+        return cdf / cdf[-1]
+
+    @cached_property
+    def _fixed_rows(self) -> np.ndarray:
+        """Every fixed row, one per line (fixed rows only): env.rows, or the
+        mixture components stacked, component c's row i at line c K + i."""
+        return self.rows if self.kind == DETERMINISTIC else self.comps.reshape(-1, self.K)
+
+    @cached_property
+    def _split_shares(self) -> np.ndarray:
+        """_row_shares of _fixed_rows, line by line (fixed rows only)."""
+        return _row_shares(self._fixed_rows)
+
+    @cached_property
+    def _positive_counts(self) -> tuple:
+        """Positive-mass boxes per generation from type 1, as exact ints, up
+        to and including the first count past int64.  Every row supports at
+        least two types, so the count at least doubles each generation and
+        the tuple holds at most 65 entries."""
+        support = self.support.T.tolist()
+        per_type = [1] + [0] * (self.K - 1)
+        counts = [1]
+        while counts[-1] <= _INT64_MAX:
+            per_type = [sum(p for p, s in zip(per_type, col) if s) for col in support]
+            counts.append(sum(per_type))
+        return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -360,6 +392,30 @@ def laplace_entry(env: EnvironmentModel, i: int, j: int, theta: float) -> float:
 # row sampling
 # --------------------------------------------------------------------------
 
+def _row_shares(rows: np.ndarray) -> np.ndarray:
+    """Conditional-binomial split shares of K-wide rows (along the last axis).
+
+    Each column's share is its entry over the tail sum of the row from that
+    column on.  At the last column of positive mass that tail is the entry
+    itself, so the share is 1 exactly there: no ball passes it, and none
+    reaches a column off the support.
+    """
+    tails = rows[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return rows / np.where(tails > 0.0, tails, 1.0)      # a zero tail has a zero entry
+
+
+def _fixed_row_index(env: EnvironmentModel, types: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Line of each box's row in env._fixed_rows: its type, or for a mixture
+    its type in the component it picks, by one uniform per box (the
+    inversion rng.choice(p=weights) makes, so the same picks, without its
+    per-call argument checks)."""
+    if env.kind != MIXTURE:
+        return types
+    picks = env._mixture_cdf.searchsorted(rng.random(types.shape[0]), side="right")
+    return picks * env.K + types
+
+
 def sample_rows(env: EnvironmentModel, types, rng: np.random.Generator) -> np.ndarray:
     """Realized transition rows for 0-based box types: a new (n, K) array.
 
@@ -369,14 +425,9 @@ def sample_rows(env: EnvironmentModel, types, rng: np.random.Generator) -> np.nd
     one mixture component per row.
     """
     types = np.asarray(types, dtype=np.int64)
-    if env.kind == DETERMINISTIC:
-        return np.take(env.rows, types, axis=0)       # take: far faster than fancy indexing
-    if env.kind == MIXTURE:
-        # the inversion rng.choice(p=weights) makes, so the same picks,
-        # without its per-call argument checks
-        cdf = np.cumsum(env.weights)
-        picks = (cdf / cdf[-1]).searchsorted(rng.random(types.shape[0]), side="right")
-        return np.take(env.comps.reshape(-1, env.K), picks * env.K + types, axis=0)
+    if env.kind != DIRICHLET:
+        # take: far faster than fancy indexing
+        return np.take(env._fixed_rows, _fixed_row_index(env, types, rng), axis=0)
     rows = np.zeros((types.shape[0], env.K))
     for i in range(env.K):
         mask = types == i

@@ -13,12 +13,17 @@ counts level by level reproduces the trie statistics exactly:
 Ball counts are nonincreasing along any root-to-box path, so expanding only
 boxes holding >= j balls enumerates every generation-n box with >= j balls;
 comparing their number R_n with the number P_n of positive-mass boxes
-(support-pattern paths, counted exactly with saturation at m+1) detects G.
+(support-pattern paths, counted exactly) detects G.
 
-Each level is one step: every box draws its K-wide row (envs.sample_rows)
-and splits its balls along it by a chain of conditional binomials over the
-columns, exact and vectorized over all boxes of the level; its children are
-the supported columns.
+Each level is one step, vectorized over all boxes of the level: every box
+takes the split shares of its K-wide row and splits its balls along them by
+a chain of conditional binomials over the columns, exact.  Fixed rows (and
+mixture components, after one uniform per box picks them) read their shares
+from a table taken once per environment; Dirichlet boxes draw their rows
+(envs.sample_rows) and take the shares of those.  The children are the
+columns of the level's split block that hold >= j balls, found in one pass;
+an unsupported column never gets a ball.  P_n is read from the environment's
+per-generation counts, which end once they pass int64, and so any m.
 
 Every box draws its own row, so a box of type i holding c balls roots an
 independent subtree whose height law depends on (i, c) alone (the height
@@ -38,13 +43,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import spectral
-from .envs import DETERMINISTIC, DIRICHLET, EnvironmentModel, sample_rows
+from .envs import (DETERMINISTIC, DIRICHLET, EnvironmentModel, _fixed_row_index,
+                   _INT64_MAX, _row_shares, sample_rows)
 from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegime
 
 DEFAULT_DEPTH_CAP = 10_000
 COUPON_BOX_CAP = 1_000_000
 C0 = 64                   # largest ball count a height run resolves from tables
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _POISSON_LAM_MAX = _INT64_MAX - 10 * math.sqrt(_INT64_MAX)   # numpy's Generator.poisson limit
 
 
@@ -64,7 +69,8 @@ class TrieObservation:
 class LevelProfile:
     """Exact box statistics of one generation (one realization if random).
 
-    per_type_boxes[i] holds the values -ln(l) for boxes of type i+1.
+    per_type_boxes[i] holds the values -ln(l) for boxes of type i+1, in no
+    particular order.
     min_log_size / max_log_size are -ln of the smallest / largest box mass.
     window_counts[(theta, a, b)] counts boxes with ln(l) in
     [n*drift(theta) - a, n*drift(theta) - b].
@@ -95,24 +101,40 @@ class CouponOutcome:
 # level machinery
 # --------------------------------------------------------------------------
 
-def _split_counts(counts, rows, rng):
-    """Multinomial split of each count along its K-wide row: a chain of K - 1
-    conditional binomials over the columns, the rest to the last column.
-
-    Each column's share is its entry over the tail sum of the row from that
-    column on.  At the last column of positive mass that tail is the entry
-    itself, so p = 1 exactly there: no ball passes it, and none reaches a
-    column off the support.
-    """
-    tails = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
-    p = rows / np.where(tails > 0.0, tails, 1.0)          # a zero tail has a zero entry
-    out = np.empty(rows.shape, dtype=np.int64)
-    remaining = counts.copy()
-    for t in range(rows.shape[1] - 1):
-        out[:, t] = rng.binomial(remaining, p[:, t])
-        remaining -= out[:, t]
+def _split_counts(counts, shares, rng):
+    """Multinomial split of each count along its K-wide row, given the row's
+    split shares (envs._row_shares): a chain of K - 1 conditional binomials
+    over the columns, the rest to the last column."""
+    out = np.empty(shares.shape, dtype=np.int64)
+    remaining = counts
+    for t in range(shares.shape[1] - 1):
+        # a contiguous column: rng.binomial takes a strided one about 2x slower
+        drawn = rng.binomial(remaining, np.ascontiguousarray(shares[:, t]))
+        out[:, t] = drawn
+        remaining = remaining - drawn
     out[:, -1] = remaining
     return out
+
+
+def _shares(env, types, rng):
+    """Split shares of every box of a level, one K-wide row per box: fixed
+    rows read them from the environment's table, Dirichlet boxes draw their
+    rows and take the shares of those."""
+    if env.kind == DIRICHLET:
+        return _row_shares(sample_rows(env, types, rng))
+    return np.take(env._split_shares, _fixed_row_index(env, types, rng), axis=0)
+
+
+def _step(env, types, counts, j, rng):
+    """One level of the occupancy cascade: the children holding >= j balls,
+    as (types, counts), box by box and column by column.
+
+    An unsupported column gets no ball (its share follows a share of 1), so
+    for j >= 1 every child kept is on the support.
+    """
+    block = _split_counts(counts, _shares(env, types, rng), rng)
+    kept = np.flatnonzero(block >= j)
+    return kept % env.K, block.ravel().take(kept)
 
 
 def _log_masses(parent, rows, _):
@@ -134,14 +156,6 @@ def _expand(env, types, values, rng, split):
     block = split(values, sample_rows(env, types, rng), rng)
     keep = np.take(env.support, types, axis=0).ravel()
     return np.tile(np.arange(env.K), types.shape[0])[keep], block.ravel()[keep]
-
-
-def _advance_positive(support, per_type, cap):
-    """One support step of the per-type positive-box counts, saturated at cap.
-
-    `support` is the environment's support pattern as an int64 matrix.
-    """
-    return np.minimum(per_type @ support, cap)
 
 
 def _log_rising(a, C):
@@ -281,42 +295,41 @@ def _run_levels(env, m, j, rng, depth_cap, want_height):
     """
     if m < j:
         return (0 if want_height else None), 0, 0, 0
+    positive = env._positive_counts               # P_n; past its end, above any m
+    last = len(positive) - 1
     types = np.array([0], dtype=np.int64)
     counts = np.array([m], dtype=np.int64)
-    support = env.support.astype(np.int64)
-    per_type = np.eye(env.K, dtype=np.int64)[0]
     sat = None
     expanded = 0
     depth = 0
-    frozen = []                                   # (levels, types, counts) per level
+    frozen = []                                   # (level, types, counts) per level
     while True:
         R = counts.shape[0]                       # boxes holding >= j at this depth
-        P = min(int(per_type.sum()), m + 1)       # positive boxes (saturated)
-        if sat is None and R < P:
-            sat = depth
+        if sat is None and R < positive[min(depth, last)]:
+            sat = depth                           # R <= m, so P_n needs no saturation
         if want_height and sat is not None:
             small = counts <= C0
-            frozen.append((np.full(int(small.sum()), depth), types[small], counts[small]))
-            types, counts = types[~small], counts[~small]
-            R = counts.shape[0]
+            if small.any():
+                frozen.append((depth, types[small], counts[small]))
+                big = ~small
+                types, counts = types[big], counts[big]
+                R = counts.shape[0]
         if R == 0 or (not want_height and sat is not None):
             break
         if depth >= depth_cap:
             raise DepthCapExceeded(f"no termination within {depth_cap} generations")
         expanded += R
-        ctypes, ccounts = _expand(env, types, counts, rng, _split_counts)
-        keep = ccounts >= j
-        types = ctypes[keep]
-        counts = ccounts[keep]
-        per_type = _advance_positive(support, per_type, m + 1)
+        types, counts = _step(env, types, counts, j, rng)
         depth += 1
     if not want_height:
         return None, sat, expanded, depth
     height = depth
-    levels, types, counts = (np.concatenate(part) for part in zip(*frozen))
-    if levels.size:
+    if frozen:
+        at, types, counts = zip(*frozen)
+        levels = np.repeat(at, [t.shape[0] for t in types])
         table = _height_table(env, j, min(C0, m))
-        height = max(depth, table.class_max(levels, types, counts, rng, depth_cap))
+        height = max(depth, table.class_max(levels, np.concatenate(types),
+                                            np.concatenate(counts), rng, depth_cap))
     return height, sat, expanded, depth
 
 
@@ -381,17 +394,11 @@ def simulate_power_regime(
 def positive_box_count(env: EnvironmentModel, n: int, cap: int) -> int:
     """Number of positive-mass boxes at generation n, saturated at cap + 1.
 
-    Every row supports at least two types, so the count at least doubles
-    each generation; the walk stops once it passes cap.
+    Read from the environment's per-generation counts, which end at the
+    first count past int64; a cap past int64 counts as int64's largest value.
     """
-    support = env.support.astype(np.int64)
-    per_type = np.eye(env.K, dtype=np.int64)[0]
-    cap = min(cap, np.iinfo(np.int64).max // (2 * env.K))   # one step past cap fits int64
-    for _ in range(n):
-        if per_type.sum() > cap:
-            break
-        per_type = _advance_positive(support, per_type, cap + 1)
-    return int(min(per_type.sum(), cap + 1))
+    counts = env._positive_counts
+    return min(counts[min(n, len(counts) - 1)], min(cap, _INT64_MAX) + 1)
 
 
 def _enumerate_boxes(env, n, rng):
@@ -454,7 +461,7 @@ def enumerate_level(
     else:
         types, logs = _enumerate_boxes(env, n, rng)
         lo, hi = logs.min(), logs.max()
-        per_type = [np.sort(-logs[types == i]) for i in range(env.K)]
+        per_type = [-logs[types == i] for i in range(env.K)]
         laplace = {theta: np.bincount(types, weights=np.exp(theta * logs), minlength=env.K)
                    for theta in theta_list}
         for theta, a, b in windows:
@@ -503,7 +510,7 @@ def size_biased_walk(env: EnvironmentModel, n: int, rng: np.random.Generator):
 def _fall(logs, rows, rng):
     """One ball per box: the child it falls into gets the box's ln mass plus
     its own, every other child -inf."""
-    hit = _split_counts(np.ones(logs.shape[0], dtype=np.int64), rows, rng) > 0
+    hit = _split_counts(np.ones(logs.shape[0], dtype=np.int64), _row_shares(rows), rng) > 0
     return np.where(hit, _log_masses(logs, rows, rng), -np.inf)
 
 

@@ -25,6 +25,9 @@ SIMULATE = ["simulate", "--m-grid=64:8:4", "--reps=3", "--seed=7"]
 RUNS = {
     **{f"simulate-{env}-j{j}.csv": (env, SIMULATE + [f"--j={j}"])
        for env in ("markov", "dirichlet", "mixture") for j in (1, 2, 8)},
+    **{f"simulate-sparse3-j{j}.csv": ("sparse3", SIMULATE + [f"--j={j}"]) for j in (1, 2)},
+    "converge-mixture-j1.csv": ("mixture", ["converge", "--j=1", "--m-grid=64:4:4", "--reps=5",
+                                            "--seed=8"]),
     "simulate-dirichlet-j2.json": ("dirichlet", SIMULATE + ["--j=2", "--format=json"]),
     "power-iid.csv": ("iid", ["simulate", "--alpha=0.5", "--m-grid=256:4:4", "--reps=3",
                               "--seed=9"]),
@@ -45,6 +48,8 @@ RUNS = {
 }
 
 DIGESTS = {
+    "converge-mixture-j1.csv":
+        "5f7d965c550e3076ede53b8f471b607a2c7768847e10914c4dc9aa07109b316e",
     "coupon-dirichlet.json":
         "e57bb9693df09a803366ee6f58080825d7e568a83634a9270c3301d27c97c9b7",
     "coupon-markov.csv":
@@ -83,6 +88,10 @@ DIGESTS = {
         "62d05a204189882d95ca7e158e0cd875b45d5afe87bbbcdf03e95c2709f2ad5e",
     "simulate-mixture-j8.csv":
         "6e678fc659fba7117ce4a41bb73d003625e193f97bf6e47eac1f7ed544df9354",
+    "simulate-sparse3-j1.csv":
+        "bd3112219eee1ee913755f044b44e7fc52ad6b1d8aba1be5c0a2f11f8c7eb4b6",
+    "simulate-sparse3-j2.csv":
+        "38f258af673e91a7889f6ec60f9e74f5ec2819e28e8578cb930a8bc3d063e626",
 }
 
 

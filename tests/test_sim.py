@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -336,7 +336,7 @@ def _full_expansion(env, m, j, rng):
         ctypes, ccounts = _expand(env, types, counts, rng, _split_counts)
         keep = ccounts >= j
         types, counts = ctypes[keep], ccounts[keep]
-        per_type = sim._advance_positive(support, per_type, m + 1)
+        per_type = np.minimum(per_type @ support, m + 1)
         depth += 1
 
 
@@ -408,12 +408,89 @@ def test_split_keeps_every_ball_on_the_support(name):
     types = np.repeat(np.arange(env.K), 2000)
     counts = np.full(types.shape, 10 ** 15, dtype=np.int64)
     rng = rng_of(3)
-    split = sim._split_counts(counts, tl.sample_rows(env, types, rng), rng)
+    split = sim._split_counts(counts, sim._shares(env, types, rng), rng)
     assert (split[~env.support[types]] == 0).all()
     assert (split.sum(axis=1) == counts).all()
-    ctypes, ccounts = sim._expand(env, types, counts, rng, sim._split_counts)
+    ctypes, ccounts = sim._step(env, types, counts, 1, rng)
     parents = np.repeat(types, env.support[types].sum(axis=1))
     assert ccounts.sum() == counts.sum() and env.support[parents, ctypes].all()
+
+
+# A copy of the level loop as it stood before split shares, children and
+# positive-box counts were taken from per-environment tables: every box
+# splits along its gathered row, the children are filtered by the support,
+# and the positive-box counts advance by one matrix step per level.
+
+def _split_gathered_rows(counts, rows, rng):
+    tails = rows[:, ::-1].cumsum(axis=1)[:, ::-1]
+    p = rows / np.where(tails > 0.0, tails, 1.0)
+    out = np.empty(rows.shape, dtype=np.int64)
+    remaining = counts.copy()
+    for t in range(rows.shape[1] - 1):
+        out[:, t] = rng.binomial(remaining, p[:, t])
+        remaining -= out[:, t]
+    out[:, -1] = remaining
+    return out
+
+
+def _levels_by_support_filter(env, m, j, rng, depth_cap, want_height):
+    """(height|None, saturation, expanded, depth), as sim._run_levels returns."""
+    if m < j:
+        return (0 if want_height else None), 0, 0, 0
+    types = np.array([0], dtype=np.int64)
+    counts = np.array([m], dtype=np.int64)
+    support = env.support.astype(np.int64)
+    per_type = np.eye(env.K, dtype=np.int64)[0]
+    sat = None
+    expanded = 0
+    depth = 0
+    frozen = []
+    while True:
+        R = counts.shape[0]
+        P = min(int(per_type.sum()), m + 1)
+        if sat is None and R < P:
+            sat = depth
+        if want_height and sat is not None:
+            small = counts <= sim.C0
+            frozen.append((np.full(int(small.sum()), depth), types[small], counts[small]))
+            types, counts = types[~small], counts[~small]
+            R = counts.shape[0]
+        if R == 0 or (not want_height and sat is not None):
+            break
+        if depth >= depth_cap:
+            raise DepthCapExceeded(f"no termination within {depth_cap} generations")
+        expanded += R
+        block = _split_gathered_rows(counts, tl.sample_rows(env, types, rng), rng)
+        keep = np.take(env.support, types, axis=0).ravel()
+        ctypes = np.tile(np.arange(env.K), types.shape[0])[keep]
+        ccounts = block.ravel()[keep]
+        types, counts = ctypes[ccounts >= j], ccounts[ccounts >= j]
+        per_type = np.minimum(per_type @ support, m + 1)
+        depth += 1
+    if not want_height:
+        return None, sat, expanded, depth
+    height = depth
+    levels, types, counts = (np.concatenate(part) for part in zip(*frozen))
+    if levels.size:
+        table = sim._height_table(env, j, min(sim.C0, m))
+        height = max(depth, table.class_max(levels, types, counts, rng, depth_cap))
+    return height, sat, expanded, depth
+
+
+@settings(PROPERTY, max_examples=80)
+@given(env=random_envs(), j=st.sampled_from([1, 2, 8]), m=st.sampled_from([1, None, 40, 5000]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_level_step_keeps_the_stream(env, j, m, seed):
+    # the same observation and the same generator state after the run
+    m = j - 1 if m is None else m
+    assume(m >= 1)
+    runs = [(tl.simulate_saturation, False)] + [(tl.simulate_occupancy, True)] * (j >= 2)
+    for simulate, want_height in runs:
+        rng, again = rng_of(seed), rng_of(seed)
+        obs = simulate(env, m, j, rng)
+        want = _levels_by_support_filter(env, m, j, again, sim.DEFAULT_DEPTH_CAP, want_height)
+        assert (obs.height, obs.saturation, obs.expanded_nodes, obs.max_depth_reached) == want
+        assert rng.bit_generator.state == again.bit_generator.state
 
 
 # --------------------------------------------------------------------------
