@@ -19,7 +19,7 @@ from .envs import (
     sample_rows,
     serialize_env,
 )
-from .oracle import WordSet, brute_force_trie, grid_sup, sample_words
+from .oracle import WordSet, brute_force_trie, sample_words
 from .sim import (
     CouponOutcome,
     LevelProfile,

@@ -160,6 +160,15 @@ def fit_slope(points):
     return float(slope), float(intercept), float(r2)
 
 
+def _median(values) -> float:
+    """The median as np.median takes it: the middle value, or the mean of
+    the middle pair, (a + b) / 2.  np.median checks float input for NaN
+    through numpy.ma, whose import every converge run would pay."""
+    ordered = sorted(float(v) for v in values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 # --------------------------------------------------------------------------
 # experiment runners
 # --------------------------------------------------------------------------
@@ -222,11 +231,11 @@ def run_converge(config: ExperimentConfig, env: EnvironmentModel) -> Convergence
                 continue
             stderr = float(data.std(ddof=1) / math.sqrt(len(data))) if len(data) > 1 else 0.0
             rows.append(RowStat(m=m, stat=stat, mean=float(data.mean()),
-                                median=float(np.median(data)), stderr=stderr,
+                                median=_median(data), stderr=stderr,
                                 count=len(data)))
         chosen = heights if height_mode else sats
         fit_points.append(
-            (math.log(m), float(chosen.mean()) if height_mode else float(np.median(chosen)))
+            (math.log(m), float(chosen.mean()) if height_mode else _median(chosen))
         )
     slope, _, r2 = fit_slope(fit_points)
     note = ""
@@ -391,7 +400,7 @@ def emit_report(payload, path, fmt: str = "csv") -> None:
         lines.append(f"n,{payload[0].n}")
         lines.append(f"j,{payload[0].j}")
         lines.append(f"mean,{_fmt(float(np.mean(throws)))}")
-        lines.append(f"median,{_fmt(float(np.median(throws)))}")
+        lines.append(f"median,{_fmt(_median(throws))}")
     else:  # simulate rows
         lines.append("m_index,rep,j,height,saturation,expanded_nodes,max_depth_reached")
         for m_idx, rep, j, h, g, ex, md in payload:

@@ -404,36 +404,49 @@ def _row_shares(rows: np.ndarray) -> np.ndarray:
     return rows / np.where(tails > 0.0, tails, 1.0)      # a zero tail has a zero entry
 
 
-def _fixed_row_index(env: EnvironmentModel, types: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Line of each box's row in env._fixed_rows: its type, or for a mixture
-    its type in the component it picks, by one uniform per box (the
-    inversion rng.choice(p=weights) makes, so the same picks, without its
-    per-call argument checks)."""
+def _fixed_row_index(env: EnvironmentModel, types, count: int,
+                     rng: np.random.Generator):
+    """Line in env._fixed_rows of the rows of `count` boxes of 0-based `types`
+    (an array of count types, or one type for all): the type, or for a
+    mixture its type in the component each box picks, by one uniform per box
+    (the inversion rng.choice(p=weights) makes, so the same picks, without
+    its per-call argument checks)."""
     if env.kind != MIXTURE:
         return types
-    picks = env._mixture_cdf.searchsorted(rng.random(types.shape[0]), side="right")
+    picks = env._mixture_cdf.searchsorted(rng.random(count), side="right")
     return picks * env.K + types
 
 
-def sample_rows(env: EnvironmentModel, types, rng: np.random.Generator) -> np.ndarray:
+def sample_rows(env: EnvironmentModel, types, rng: np.random.Generator,
+                count: Optional[int] = None) -> np.ndarray:
     """Realized transition rows for 0-based box types: a new (n, K) array.
 
     Each row sums to 1 and is exactly 0 off its type's support.  Random
     environments draw a fresh row per entry of `types`: one Dirichlet batch
     per type (numpy's stick-breaking keeps rows with tiny alpha finite), or
     one mixture component per row.
+
+    With `count`, `types` is one type i and the rows are `count` boxes of
+    type i: one Dirichlet batch, or one uniform per box picking its mixture
+    component.  A deterministic environment then gives type i's fixed row
+    alone, a new (1, K) array that broadcasts over the boxes.
     """
-    types = np.asarray(types, dtype=np.int64)
+    if count is None:
+        types = np.asarray(types, dtype=np.int64)
+        count = types.shape[0]
+    elif env.kind == DETERMINISTIC:
+        return env.rows[types:types + 1].copy()
+    elif env.kind == DIRICHLET:
+        return rng.dirichlet(env.alpha[types], size=count)
     if env.kind != DIRICHLET:
         # take: far faster than fancy indexing
-        return np.take(env._fixed_rows, _fixed_row_index(env, types, rng), axis=0)
+        return np.take(env._fixed_rows, _fixed_row_index(env, types, count, rng), axis=0)
     rows = np.zeros((types.shape[0], env.K))
     for i in range(env.K):
         mask = types == i
         n_i = int(mask.sum())
         if n_i:
-            rows[mask] = rng.dirichlet(env.alpha[i], size=n_i)
+            rows[mask] = sample_rows(env, i, rng, count=n_i)
     return rows
 
 

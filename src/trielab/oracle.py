@@ -1,8 +1,7 @@
 """Brute-force references, kept deliberately naive and auditable.
 
-These routines re-derive height/saturation from explicit word lists and
-re-locate optima/roots by dense scanning; tests compare them against the
-vectorized simulator and the spectral solvers.  Desk scale only: the word
+These routines re-derive height/saturation from explicit word lists; tests
+compare them against the vectorized simulator.  Desk scale only: the word
 oracle is O(m * n) per level, the level scan O(K^n).
 """
 
@@ -74,35 +73,6 @@ def brute_force_trie(words: WordSet, j: int):
     # saturation <= height always: at n = height every prefix count is < j
     assert saturation is not None
     return height, saturation
-
-
-def grid_sup(objective, lo: float, hi: float, steps: int):
-    """Dense-grid maximum with one golden-section refinement pass."""
-    if steps < 2:
-        raise ValueError("need at least 2 grid steps")
-    xs = np.linspace(lo, hi, steps)
-    vals = np.array([objective(x) for x in xs])
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, steps - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(90):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    x_best = 0.5 * (a + b)
-    f_best = objective(x_best)
-    if f_best >= vals[i]:
-        return float(x_best), float(f_best)
-    return float(xs[i]), float(vals[i])
 
 
 def sample_words(env: EnvironmentModel, m: int, length: int, rng: np.random.Generator) -> WordSet:

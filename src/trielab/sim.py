@@ -15,15 +15,20 @@ boxes holding >= j balls enumerates every generation-n box with >= j balls;
 comparing their number R_n with the number P_n of positive-mass boxes
 (support-pattern paths, counted exactly) detects G.
 
-Each level is one step, vectorized over all boxes of the level: every box
-takes the split shares of its K-wide row and splits its balls along them by
-a chain of conditional binomials over the columns, exact.  Fixed rows (and
-mixture components, after one uniform per box picks them) read their shares
-from a table taken once per environment; Dirichlet boxes draw their rows
-(envs.sample_rows) and take the shares of those.  The children are the
-columns of the level's split block that hold >= j balls, found in one pass;
-an unsupported column never gets a ball.  P_n is read from the environment's
-per-generation counts, which end once they pass int64, and so any m.
+Each occupancy level is one step, vectorized over all boxes of the level:
+every box takes the split shares of its K-wide row and splits its balls
+along them by a chain of conditional binomials over the columns, exact.
+Fixed rows (and mixture components, after one uniform per box picks them)
+read their shares from a table taken once per environment; Dirichlet boxes
+draw their rows (envs.sample_rows) and take the shares of those.  The
+children are the columns of the level's split block that hold >= j balls,
+found in one pass; an unsupported column never gets a ball.  P_n is read
+from the environment's per-generation counts, which end once they pass
+int64, and so any m.
+
+Level enumeration keeps generation n as K blocks of ln masses, one per type,
+each drawing its rows in one sample_rows call; a size-biased walk takes one
+row and one uniform per step.
 
 Every box draws its own row, so a box of type i holding c balls roots an
 independent subtree whose height law depends on (i, c) alone (the height
@@ -122,7 +127,8 @@ def _shares(env, types, rng):
     rows and take the shares of those."""
     if env.kind == DIRICHLET:
         return _row_shares(sample_rows(env, types, rng))
-    return np.take(env._split_shares, _fixed_row_index(env, types, rng), axis=0)
+    return np.take(env._split_shares, _fixed_row_index(env, types, types.shape[0], rng),
+                   axis=0)
 
 
 def _step(env, types, counts, j, rng):
@@ -135,27 +141,6 @@ def _step(env, types, counts, j, rng):
     block = _split_counts(counts, _shares(env, types, rng), rng)
     kept = np.flatnonzero(block >= j)
     return kept % env.K, block.ravel().take(kept)
-
-
-def _log_masses(parent, rows, _):
-    """Children's ln masses: the parent's plus the ln of its row entries
-    (computed in place: sample_rows hands out fresh rows)."""
-    with np.errstate(divide="ignore"):
-        np.log(rows, out=rows)
-    rows += parent[:, None]
-    return rows
-
-
-def _expand(env, types, values, rng, split):
-    """Children of every box of a level: (child types, child values).
-
-    All boxes draw their K-wide rows in one sample_rows call, and
-    split(values, rows, rng) gives each box one value per column.  The
-    children are the supported columns, env.support[types], box by box.
-    """
-    block = split(values, sample_rows(env, types, rng), rng)
-    keep = np.take(env.support, types, axis=0).ravel()
-    return np.tile(np.arange(env.K), types.shape[0])[keep], block.ravel()[keep]
 
 
 def _log_rising(a, C):
@@ -401,13 +386,31 @@ def positive_box_count(env: EnvironmentModel, n: int, cap: int) -> int:
     return min(counts[min(n, len(counts) - 1)], min(cap, _INT64_MAX) + 1)
 
 
-def _enumerate_boxes(env, n, rng):
-    """All generation-n boxes as (types, ln masses); one realization if random."""
-    types = np.array([0], dtype=np.int64)
-    logs = np.array([0.0])
-    for _ in range(n):
-        types, logs = _expand(env, types, logs, rng, _log_masses)
-    return types, logs
+def _enumerate_blocks(env, n, rng):
+    """All generation-n boxes as K blocks of ln masses, block i holding the
+    boxes of type i+1; one realization if random.
+
+    Each level, block i draws its rows in one sample_rows call (a fixed row
+    serves the whole block), and each supported column k writes the block's
+    ln masses plus the rows' ln entries in column k into the next stretch of
+    child block k, allocated once at its exact size.
+    """
+    blocks = [np.zeros(1)] + [np.empty(0)] * (env.K - 1)
+    with np.errstate(divide="ignore"):               # ln 0 off the support, never read
+        for _ in range(n):
+            sizes = env.support.T @ [b.size for b in blocks]
+            children = [np.empty(size) for size in sizes.tolist()]
+            used = [0] * env.K
+            for i, block in enumerate(blocks):
+                if block.size:
+                    ln_rows = sample_rows(env, i, rng, count=block.size)
+                    np.log(ln_rows, out=ln_rows)
+                    for k in env.supported_cols[i]:
+                        end = used[k] + block.size
+                        np.add(block, ln_rows[:, k], out=children[k][used[k]:end])
+                        used[k] = end
+            blocks = children
+    return blocks
 
 
 def _extreme_paths(env, n):
@@ -438,6 +441,9 @@ def enumerate_level(
     """Exact statistics of generation n: per-type neg-log masses, tilted sums
     (Laplace transforms), extremes, window counts and martingale values.
 
+    The boxes come as one block of ln masses per type, and every statistic
+    is taken block by block: laplace[theta][i] sums l^theta over block i.
+
     When the level holds more than `cap` positive boxes, a deterministic
     environment falls back to dynamic-programming extremes plus matrix-power
     tilted sums (truncated=True, no per-box data); a random environment cannot
@@ -459,16 +465,20 @@ def enumerate_level(
         laplace = {theta: np.linalg.matrix_power(spectral.tilted_matrix(env, theta).entries, n)[0]
                    for theta in theta_list}
     else:
-        types, logs = _enumerate_boxes(env, n, rng)
-        lo, hi = logs.min(), logs.max()
-        per_type = [-logs[types == i] for i in range(env.K)]
-        laplace = {theta: np.bincount(types, weights=np.exp(theta * logs), minlength=env.K)
+        blocks = _enumerate_blocks(env, n, rng)
+        filled = [b for b in blocks if b.size]
+        lo, hi = min(b.min() for b in filled), max(b.max() for b in filled)
+        buf = np.empty(max(b.size for b in blocks))      # reused: a cold run pays per fresh page
+        laplace = {theta: np.array([np.exp(np.multiply(b, theta, out=buf[:b.size]),
+                                           out=buf[:b.size]).sum() for b in blocks])
                    for theta in theta_list}
         for theta, a, b in windows:
             drift = spectral.shape_values(env, theta).drift
             lo_edge = n * drift - a
             hi_edge = n * drift - b
-            window_counts[(theta, a, b)] = int(((logs >= lo_edge) & (logs <= hi_edge)).sum())
+            window_counts[(theta, a, b)] = sum(
+                int(np.count_nonzero((x >= lo_edge) & (x <= hi_edge))) for x in filled)
+        per_type = [np.negative(b, out=b) for b in blocks]
     martingale = {}
     for theta, vec in laplace.items():
         pt = spectral.shape_values(env, theta)
@@ -497,21 +507,18 @@ def size_biased_walk(env: EnvironmentModel, n: int, rng: np.random.Generator):
     Returns the visited 1-based types (length n+1) and -ln of the landing
     box's mass; the landing box is distributed by the size-biased law.
     """
+    last = [int(cols[-1]) for cols in env.supported_cols]
     path = [1]
-    types, logs = np.zeros(1, dtype=np.int64), np.zeros(1)
+    log_mass = 0.0
     for _ in range(n):
-        types, logs = _expand(env, types, logs, rng, _fall)
-        landed = logs > -np.inf
-        types, logs = types[landed], logs[landed]
-        path.append(int(types[0]) + 1)
-    return tuple(path), -float(logs[0])
-
-
-def _fall(logs, rows, rng):
-    """One ball per box: the child it falls into gets the box's ln mass plus
-    its own, every other child -inf."""
-    hit = _split_counts(np.ones(logs.shape[0], dtype=np.int64), _row_shares(rows), rng) > 0
-    return np.where(hit, _log_masses(logs, rows, rng), -np.inf)
+        t = path[-1] - 1
+        row = sample_rows(env, t, rng, count=1)[0]
+        # the rounding tail of the cumulative sum falls to the last supported
+        # column, never past it, as in oracle.sample_words
+        k = min(int((np.cumsum(row) <= rng.random()).sum()), last[t])
+        log_mass += math.log(row[k])
+        path.append(k + 1)
+    return tuple(path), -log_mass
 
 
 def coupon_time(
@@ -531,7 +538,7 @@ def coupon_time(
         raise ValueError(f"need j >= 1, got {j}")
     if positive_box_count(env, n, COUPON_BOX_CAP) > COUPON_BOX_CAP:
         raise CapExceeded(f"more than {COUPON_BOX_CAP} boxes at generation {n}")
-    _, logs = _enumerate_boxes(env, n, rng)
+    logs = np.concatenate(_enumerate_blocks(env, n, rng))
     logs -= np.logaddexp.reduce(logs)
     log_tau = np.log(rng.standard_gamma(j, size=logs.shape[0])) - logs
     last = int(np.argmax(log_tau))

@@ -72,3 +72,33 @@ def random_envs(draw):
         return tl.mixture_env(weights / weights.sum(), [stochastic() for _ in weights])
     except NotRegular:
         assume(False)
+
+
+def grid_sup(objective, lo: float, hi: float, steps: int):
+    """Reference optimizer: dense-grid maximum with one golden-section
+    refinement pass, independent of the spectral solvers' root brackets."""
+    if steps < 2:
+        raise ValueError("need at least 2 grid steps")
+    xs = np.linspace(lo, hi, steps)
+    vals = np.array([objective(x) for x in xs])
+    i = int(np.argmax(vals))
+    a = xs[max(i - 1, 0)]
+    b = xs[min(i + 1, steps - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(90):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    x_best = 0.5 * (a + b)
+    f_best = objective(x_best)
+    if f_best >= vals[i]:
+        return float(x_best), float(f_best)
+    return float(xs[i]), float(vals[i])

@@ -16,6 +16,8 @@ from scipy import optimize, stats
 import trielab as tl
 from trielab.cli import ExperimentConfig, RowStat, emit_report, run_converge
 
+from conftest import grid_sup
+
 LN2 = math.log(2.0)
 GRID = [1024 * 2 ** i for i in range(11)]      # 2^10 .. 2^20
 
@@ -243,7 +245,7 @@ def test_11_mixture_saturation(env_mixture):
     def f(t):
         return math.log(rho(t)) - t * rho_p(t) / rho(t)
 
-    root, _ = tl.grid_sup(lambda t: -abs(f(t)), -3.0, -0.5, 20_000)
+    root, _ = grid_sup(lambda t: -abs(f(t)), -3.0, -0.5, 20_000)
     zeta_oracle = rho(root) / (-rho_p(root))
     zeta = tl.predicted_saturation_constant(env_mixture)
     assert abs(zeta - zeta_oracle) <= 1e-3

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import trielab as tl
 from trielab.cli import (
@@ -24,7 +26,10 @@ from trielab.cli import (
     parse_report,
     run_converge,
 )
+from trielab.cli import _median
 from trielab.errors import CapExceeded, ConfigError, DegenerateX
+
+from conftest import PROPERTY
 
 IID_ENV = "[env]\nkind = deterministic\nK = 2\nrow.1 = 0.7 0.3\nrow.2 = 0.7 0.3\n"
 DIRICHLET_ENV = "[env]\nkind = dirichlet\nK = 2\nalpha.1 = 1 1\nalpha.2 = 1 1\n"
@@ -62,6 +67,15 @@ def test_fit_degenerate():
         fit_slope([(1, 2), (2, 3)])
     with pytest.raises(DegenerateX):
         fit_slope([(1, 2), (1, 3), (1, 4)])
+
+
+@PROPERTY
+@given(values=st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=40)))
+def test_median_is_np_median(values):
+    assert _median(values) == np.median(values)
+    assert _median(np.array(values)) == np.median(values)
 
 
 # --------------------------------------------------------------------------
@@ -148,6 +162,21 @@ def test_readme_spectral_example_runs(tmp_path, monkeypatch):
 def converge_args(env_file, out, extra=()):
     return ["converge", "--env", env_file, "--j", "2", "--m-grid", "64:2:4",
             "--reps", "8", "--seed", "7", "--out", out, *extra]
+
+
+def test_converge_leaves_numpy_ma_unloaded(tmp_path, iid_env_file):
+    # np.median's NaN check imports numpy.ma; a converge run needs none of it
+    src = str(Path(tl.__file__).resolve().parents[1])
+    args = converge_args(iid_env_file, str(tmp_path / "c.csv"))
+    code = ("import sys\nfrom trielab.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_converge_runs(tmp_path, iid_env_file):

@@ -279,6 +279,22 @@ def test_sample_rows_match_the_tilted_moments(name):
                 assert abs(powers[:, j].mean() - want[i, j]) <= 4 * se[j] + 1e-12, (theta, i, j)
 
 
+@pytest.mark.parametrize("name", sorted(MOMENT_ENVS))
+def test_rows_of_one_type_are_the_batch_rows(name):
+    # count boxes of type i draw the rows, and leave the stream, as a batch
+    # of count type-i boxes does; fixed rows come once, as a new (1, K) array
+    env = MOMENT_ENVS[name]()
+    for i in range(env.K):
+        rng, ref = np.random.default_rng(i), np.random.default_rng(i)
+        rows = tl.sample_rows(env, i, rng, count=50)
+        want = tl.sample_rows(env, np.full(50, i), ref)
+        assert np.array_equal(np.broadcast_to(rows, want.shape), want)
+        assert rows.shape[0] == (1 if env.is_deterministic else 50)
+        assert rng.random() == ref.random()
+        rows[...] = 0.0
+        assert (tl.sample_rows(env, i, rng, count=50) != rows).any()
+
+
 # --------------------------------------------------------------------------
 # saturation side conditions
 # --------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from scipy import stats
 import trielab as tl
 from trielab.errors import LengthTooShort
 
+from conftest import grid_sup
+
 
 def full_support(K=2):
     return np.ones((K, K), dtype=bool)
@@ -85,7 +87,7 @@ def test_height_monotone_in_j_and_m(env_markov_b, env_dirichlet):
 # --------------------------------------------------------------------------
 
 def test_grid_sup_parabola():
-    x, v = tl.grid_sup(lambda mu: -(mu - 1.0) ** 2, -5.0, 5.0, 10_000)
+    x, v = grid_sup(lambda mu: -(mu - 1.0) ** 2, -5.0, 5.0, 10_000)
     assert abs(x - 1.0) <= 1e-3
     assert v <= 0.0 and v >= -1e-6
 
@@ -94,7 +96,7 @@ def test_grid_sup_degenerate_rate(env_uniform):
     def objective(mu):
         return mu * (-math.log(2.0)) - math.log(2.0 ** (-mu))
 
-    _, v = tl.grid_sup(objective, -5.0, 5.0, 101)
+    _, v = grid_sup(objective, -5.0, 5.0, 101)
     assert abs(v) <= 1e-6
 
 
@@ -103,7 +105,7 @@ def test_grid_sup_locates_f_root():
     def f(t):
         return math.log(2.0) - math.log(1.0 + t) + t / (1.0 + t)
 
-    root, neg = tl.grid_sup(lambda t: -abs(f(t)), 0.1, 20.0, 10_000)
+    root, neg = grid_sup(lambda t: -abs(f(t)), 0.1, 20.0, 10_000)
     assert abs(root - 3.3110704070010053) <= 1e-3
     assert abs(neg) <= 1e-6
 

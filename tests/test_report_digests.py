@@ -51,23 +51,23 @@ DIGESTS = {
     "converge-mixture-j1.csv":
         "5f7d965c550e3076ede53b8f471b607a2c7768847e10914c4dc9aa07109b316e",
     "coupon-dirichlet.json":
-        "e57bb9693df09a803366ee6f58080825d7e568a83634a9270c3301d27c97c9b7",
+        "2d75a229a4f2473f62714152f05c43fefac506bb250e6c38ef24859dd0f5f912",
     "coupon-markov.csv":
-        "78227808fdf237f96690ea69d4746064eece3247e12b305a8f93261add06dd86",
+        "be7fa03e33ef405ca539433b71b6841a192f54014412cf2afc7bf93a14eae497",
     "power-iid.csv":
         "f8ddd69baf421f2d8e80adb3dde2c96fc477b95adb1e76cc93c2adfa6a2063cc",
     "profile-dirichlet.json":
-        "78df7aa4133d70e4c2e3c26577ac620216f32aa2e8f2c5a394dd8d7f82873edd",
+        "13409ff34bea1abdbd3fcd9ed6183c514eb224de439ad643ca59f8264f5bfef6",
     "profile-markov-truncated.csv":
         "272822130d63fb8fa98de1ec291075b01358ff860bc8b9e5335afe3e7686aa20",
     "profile-markov.csv":
-        "3dc1c9b4bf15cc428c0a3921f3ba00eb4c76f7ddd0092e5fa499c4d6c9a9595b",
+        "15fca701ce997490faae3f9eaef8954b21f23ca8598c41332751246ea98d2437",
     "profile-mixture.csv":
-        "a7245c0a87000091081b857b2733924ad0c8a84d545e389e07cd97b3987a4083",
+        "2b06ff946160ef18d42f581c2059be37527725941adf7a8fb8bb440b11ef6264",
     "profile-sparse3-truncated.json":
         "15daa3935b43e33e6b9872b6fbd3e5d038d4bfb3d01c376c448e9c4397858da8",
     "profile-sparse3.json":
-        "11d24c421030c13528175ffcae269f87508c44d8790186020976bfceb4ea8ce6",
+        "11a9f6c32f64d01e09f5373d7d956230598d522ebca07b4a4cbe5a36bd7aa7f0",
     "simulate-dirichlet-j1.csv":
         "2cdcf217475e2ff9cef4a09019611c9acc4f26ff8bfbfc412e28ea8f75775555",
     "simulate-dirichlet-j2.csv":

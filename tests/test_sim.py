@@ -586,15 +586,97 @@ def test_level_walks_match_exact_support_paths(env, n, cap):
     assert positive_box_count(env, n, cap) == min(paths, cap + 1)
     assert positive_box_count(env, n, 10 ** 30) == paths
     short = min(n, 7)
-    types, logs = sim._enumerate_boxes(env, short, rng_of(0))
+    blocks = sim._enumerate_blocks(env, short, rng_of(0))
     # one child per supported column: the boxes are the support paths
     want = np.linalg.matrix_power(env.support.astype(np.int64), short)[0]
-    assert np.array_equal(np.bincount(types, minlength=env.K), want)
+    assert [b.size for b in blocks] == want.tolist()
     if env.is_deterministic:
-        assert sim._extreme_paths(env, short) == (logs.min(), logs.max())
+        filled = [b for b in blocks if b.size]
+        extremes = (min(b.min() for b in filled), max(b.max() for b in filled))
+        assert sim._extreme_paths(env, short) == extremes
     start = time.perf_counter()
     assert positive_box_count(env, 300_000, 2 ** 20) == 2 ** 20 + 1
     assert time.perf_counter() - start < 0.1
+
+
+# A copy of the level enumeration as it stood before it kept one block per
+# type: every box of a level gathers its K-wide row from one sample_rows call
+# over the level's type array, and its children are the supported columns,
+# box by box.
+
+def _boxes_by_gathered_rows(env, n, rng):
+    """All generation-n boxes as (types, ln masses); one realization if random."""
+    types = np.array([0], dtype=np.int64)
+    logs = np.array([0.0])
+    for _ in range(n):
+        with np.errstate(divide="ignore"):
+            block = np.log(tl.sample_rows(env, types, rng)) + logs[:, None]
+        keep = np.take(env.support, types, axis=0).ravel()
+        types = np.tile(np.arange(env.K), types.shape[0])[keep]
+        logs = block.ravel()[keep]
+    return types, logs
+
+
+def _blocks_as_boxes(blocks):
+    """(types, ln masses) of the boxes held in per-type blocks."""
+    return np.repeat(np.arange(len(blocks)), [b.size for b in blocks]), np.concatenate(blocks)
+
+
+def _same_law_p(new, old):
+    """p-value of a chi-squared test of two samples over their pooled deciles."""
+    edges = np.unique(np.quantile(np.concatenate([new, old]), np.linspace(0, 1, 11)[1:-1]))
+    table = np.array([np.bincount(np.searchsorted(edges, x, side="right"),
+                                  minlength=len(edges) + 1) for x in (new, old)])
+    # a discrete sample can leave the cell below the lowest edge empty
+    _, p, _, _ = stats.chi2_contingency(table[:, table.sum(axis=0) > 0])
+    return p
+
+
+@pytest.mark.parametrize("name", ["markov", "sparse3"])
+def test_blocks_hold_the_boxes_of_the_gathered_level(name):
+    # fixed rows: the same ln masses bit for bit, type by type; the level
+    # sums differ from the box-order sums by summation order alone
+    env = (tl.deterministic_env([[0.9, 0.1], [0.2, 0.8]]) if name == "markov"
+           else SPARSE_ENVS["deterministic"]())
+    thetas = [-1.0, 0.5, 2.0]
+    for n in range(13):
+        types, logs = _boxes_by_gathered_rows(env, n, rng_of(0))
+        prof = tl.enumerate_level(env, n, theta_list=thetas)
+        for i, boxes in enumerate(prof.per_type_boxes):
+            assert np.array_equal(np.sort(boxes), np.sort(-logs[types == i]))
+        assert (prof.min_log_size, prof.max_log_size) == (-logs.min(), -logs.max())
+        for theta in thetas:
+            want = np.bincount(types, weights=np.exp(theta * logs), minlength=env.K)
+            assert np.allclose(prof.laplace[theta], want, rtol=1e-13, atol=0.0)
+
+
+LEVEL_LAW_ENVS = {
+    "dirichlet": lambda: tl.dirichlet_env([[1.0, 1.0], [1.0, 1.0]]),
+    "sparse-dirichlet": SPARSE_ENVS["dirichlet"],
+    "mixture": lambda: tl.mixture_env(
+        [0.5, 0.5], [[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.9, 0.1]]]),
+    "sparse-mixture": SPARSE_ENVS["mixture"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_LAW_ENVS))
+def test_random_blocks_keep_the_law_of_the_gathered_level(name):
+    # the extremes and a per-type tilted sum of one realization, against the
+    # enumeration that gathers every box's row from the level's type array;
+    # three statistics at a family-wise level of 0.001
+    env = LEVEL_LAW_ENVS[name]()
+    n, runs = 4, 1000
+    seed = sorted(LEVEL_LAW_ENVS).index(name)
+
+    def statistics(types, logs):
+        return logs.min(), logs.max(), np.exp(2.0 * logs[types == 0]).sum()
+
+    new = np.array([statistics(*_blocks_as_boxes(sim._enumerate_blocks(env, n, rng)))
+                    for rng in (rng_of((1, seed, k)) for k in range(runs))])
+    old = np.array([statistics(*_boxes_by_gathered_rows(env, n, rng_of((2, seed, k))))
+                    for k in range(runs)])
+    for column in range(new.shape[1]):
+        assert _same_law_p(new[:, column], old[:, column]) > 0.001 / new.shape[1], column
 
 
 @PROPERTY
@@ -716,9 +798,9 @@ def test_coupon_minimum_throws(env_markov):
     assert out.throws >= 3 * positive_box_count(env_markov, 2, sim.COUPON_BOX_CAP)
 
 
-def _thrown_coupon_time(env, n, j, rng):
-    """Reference: throw balls in batches of 2048 until every box holds >= j."""
-    _, logs = sim._enumerate_boxes(env, n, rng)
+def _thrown_coupon_time(logs, j, rng):
+    """Reference: throw balls at boxes of these ln masses, in batches of
+    2048, until every box holds >= j."""
     cum = np.cumsum(np.exp(logs))
     cum /= cum[-1]
     counts = np.zeros(len(cum), dtype=np.int64)
@@ -757,13 +839,24 @@ def test_coupon_sampler_matches_the_thrower(kind, j):
     with np.errstate(divide="raise", invalid="raise"):
         new = np.array([tl.coupon_time(env, n, j, rng_of((1, *seed, k))).throws
                         for k in range(runs)])
-    old = np.array([_thrown_coupon_time(env, n, j, rng_of((2, *seed, k)))
-                    for k in range(runs)])
-    edges = np.unique(np.quantile(np.concatenate([new, old]), np.linspace(0, 1, 11)[1:-1]))
-    table = [np.bincount(np.searchsorted(edges, x, side="right"), minlength=len(edges) + 1)
-             for x in (new, old)]
-    _, p, _, _ = stats.chi2_contingency(np.array(table))
-    assert p > 0.001
+    old = []
+    for k in range(runs):
+        rng = rng_of((2, *seed, k))
+        old.append(_thrown_coupon_time(np.concatenate(sim._enumerate_blocks(env, n, rng)), j, rng))
+    assert _same_law_p(new, np.array(old)) > 0.001
+
+
+def test_dirichlet_coupons_keep_the_law_of_the_gathered_level():
+    # the thrower over the enumeration that gathers every box's row from the
+    # level's type array
+    env = COUPON_ENVS["dirichlet"]()
+    n, j, runs = 3, 1, 1500
+    new = np.array([tl.coupon_time(env, n, j, rng_of((3, j, k))).throws for k in range(runs)])
+    old = []
+    for k in range(runs):
+        rng = rng_of((4, j, k))
+        old.append(_thrown_coupon_time(_boxes_by_gathered_rows(env, n, rng)[1], j, rng))
+    assert _same_law_p(new, np.array(old)) > 0.001
 
 
 def _coupon_moments(masses, j):
@@ -789,7 +882,7 @@ def _coupon_moments(masses, j):
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_coupon_mean_matches_the_poissonized_integral(j, env_markov):
     for env, n in ((COUPON_ENVS["deterministic"](), 4), (env_markov, 3)):
-        masses = np.exp(sim._enumerate_boxes(env, n, rng_of(0))[1])
+        masses = np.exp(np.concatenate(sim._enumerate_blocks(env, n, rng_of(0))))
         want, var = _coupon_moments(masses, j)
         runs = 4000
         rng = rng_of((3, j, n))

@@ -21,7 +21,7 @@ from trielab.errors import (
     ZOutOfRange,
 )
 
-from conftest import PROPERTY, random_envs
+from conftest import PROPERTY, grid_sup, random_envs
 
 LN2 = math.log(2.0)
 
@@ -195,7 +195,7 @@ def test_rate_boundary_value_matches_grid_oracle(env_iid):
     def objective(mu):
         return mu * z - math.log(0.7 ** (mu + 1) + 0.3 ** (mu + 1))
 
-    _, oracle = tl.grid_sup(objective, -40.0, 40.0, 10_000)
+    _, oracle = grid_sup(objective, -40.0, 40.0, 10_000)
     got = tl.rate_function(env_iid, z)
     assert got == pytest.approx(oracle, abs=1e-6)
     assert got == pytest.approx(-math.log(0.7), abs=1e-9)
@@ -206,7 +206,7 @@ def test_rate_interior_matches_grid_oracle(env_iid):
         def objective(mu, z=z):
             return mu * z - math.log(0.7 ** (mu + 1) + 0.3 ** (mu + 1))
 
-        _, oracle = tl.grid_sup(objective, -60.0, 60.0, 20_000)
+        _, oracle = grid_sup(objective, -60.0, 60.0, 20_000)
         assert tl.rate_function(env_iid, z) == pytest.approx(oracle, abs=1e-6)
         assert tl.rate_function(env_iid, z) >= -1e-12
 
@@ -422,7 +422,7 @@ def test_constants_mixture_bisection_vs_grid_oracle(env_mixture):
     def f(t):
         return math.log(rho(t)) - t * rho_p(t) / rho(t)
 
-    root, neg_abs = tl.grid_sup(lambda t: -abs(f(t)), -3.0, -0.5, 20_000)
+    root, neg_abs = grid_sup(lambda t: -abs(f(t)), -3.0, -0.5, 20_000)
     assert abs(neg_abs) <= 1e-6
     assert rep.theta_star_lower == pytest.approx(root, abs=1e-3)
     zeta_oracle = rho(root) / (-rho_p(root))
