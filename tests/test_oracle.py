@@ -228,7 +228,8 @@ def _reference_fixed_words(env, m, length, rng):
 
 
 @pytest.mark.parametrize("name", ["env_iid", "env_markov_b", "sparse"])
-@pytest.mark.parametrize("m,length,seed", [(1, 1, 0), (12, 64, 1), (40, 7, 2), (500, 30, 3)])
+@pytest.mark.parametrize("m,length,seed", [(1, 1, 0), (12, 64, 1), (40, 7, 2), (500, 30, 3),
+                                           (12, 65, 4), (7, 2, 5)])
 def test_sample_words_fixed_rows_keep_their_stream(name, m, length, seed, request):
     # row 2 of the sparse environment ends on an unsupported column, and its
     # cumulative sum stops below 1 (0.7 + 0.29999999999999993 = 0.9999999999999999)
@@ -238,6 +239,74 @@ def test_sample_words_fixed_rows_keep_their_stream(name, m, length, seed, reques
     want = _reference_fixed_words(env, m, length, np.random.default_rng(seed))
     got = tl.sample_words(env, m, length, np.random.default_rng(seed))
     assert np.array_equal(got.words, want)
+
+
+def _reference_random_words(env, m, length, rng):
+    # the per-step loop: every (type, step, node slot) row drawn up front,
+    # then at each step the nodes the balls occupy get ids 0..n-1 in key
+    # order, and each ball inverts the cumulative row of its node's slot
+    K = env.K
+    last = np.array([cols[-1] for cols in env.supported_cols])
+    beyond = np.arange(K)[None, :] >= last[:, None]
+    types = np.repeat(np.arange(K), length * m)
+    rows = tl.sample_rows(env, types, rng)
+    cum = np.where(beyond[types], np.inf, np.cumsum(rows, axis=1)).reshape(K, length, m, K)
+    u = rng.random((length, m))[:, :, None]
+    words = np.empty((m, length), dtype=np.int64)
+    state = np.zeros(m, dtype=np.int64)
+    node = np.zeros(m, dtype=np.int64)
+    present = np.zeros(m * K, dtype=bool)
+    for step in range(length):
+        key = node * K + state
+        present[:] = False
+        present[key] = True
+        node = (np.cumsum(present) - 1)[key]
+        state = (cum[state, step, node] <= u[step]).sum(axis=1)
+        words[:, step] = state + 1
+    return words
+
+
+def _sparse_dirichlet():
+    # row 2 ends on the unsupported column 3
+    return tl.dirichlet_env([[1.0, 1.0, 0.5], [0.3, 2.0, 0.0], [0.0, 1.0, 1.0]])
+
+
+@pytest.mark.parametrize("name", ["env_dirichlet", "env_mixture", "sparse"])
+@pytest.mark.parametrize("m", [1, 2, 12, 40, 500])
+@pytest.mark.parametrize("length", [1, 2, 3, 64, 65])
+def test_sample_words_random_rows_keep_their_stream(name, m, length, request):
+    env = _sparse_dirichlet() if name == "sparse" else request.getfixturevalue(name)
+    seed = (m, length)
+    want = _reference_random_words(env, m, length, np.random.default_rng(seed))
+    got = tl.sample_words(env, m, length, np.random.default_rng(seed))
+    assert np.array_equal(got.words, want)
+
+
+def _parting_length(words):
+    # least n at which the balls' n-letter prefixes are all distinct
+    m, length = words.shape
+    for n in range(length + 1):
+        if len({tuple(row[:n]) for row in words.tolist()}) == m:
+            return n
+    return length + 1
+
+
+@pytest.mark.parametrize("name", ["env_dirichlet", "env_mixture", "sparse"])
+def test_sample_words_random_rows_part_at_the_walk_end(name, request):
+    # seeds whose balls part at the last step's node compaction (prefixes of
+    # length - 1 distinct), after the last letter, or never
+    env = _sparse_dirichlet() if name == "sparse" else request.getfixturevalue(name)
+    m, length = 12, 10
+    seen = set()
+    for seed in range(400):
+        want = _reference_random_words(env, m, length, np.random.default_rng(seed))
+        part = _parting_length(want)
+        if part < length - 1 or part in seen:
+            continue
+        seen.add(part)
+        got = tl.sample_words(env, m, length, np.random.default_rng(seed))
+        assert np.array_equal(got.words, want)
+    assert seen == {length - 1, length, length + 1}
 
 
 def test_simulator_law_matches_word_oracle_smoke(env_markov_b):
