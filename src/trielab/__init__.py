@@ -9,9 +9,7 @@ from .envs import (
     check_saturation_conditions,
     deterministic_env,
     dirichlet_env,
-    laplace_entry,
     load_env,
-    make_env,
     mixture_env,
     parse_env_text,
     regularity,
@@ -42,7 +40,6 @@ from .spectral import (
     predicted_height_constant,
     predicted_saturation_constant,
     rate_function,
-    rho_prime,
     shape_values,
     spectral_profile,
     tilted_matrix,

@@ -230,18 +230,6 @@ def mixture_env(weights, comps) -> EnvironmentModel:
     return _finalize(MIXTURE, K, support, weights=weights, comps=comps)
 
 
-def make_env(desc) -> EnvironmentModel:
-    """Build an environment from a description mapping (see the file format)."""
-    kind = str(desc.get("kind", "")).lower()
-    if kind == DETERMINISTIC:
-        return deterministic_env(desc["rows"])
-    if kind == DIRICHLET:
-        return dirichlet_env(desc["alpha"])
-    if kind == MIXTURE:
-        return mixture_env(desc["weights"], desc["comps"])
-    raise BadRows(f"unknown environment kind {kind!r}")
-
-
 # --------------------------------------------------------------------------
 # regularity
 # --------------------------------------------------------------------------
@@ -378,14 +366,6 @@ def dlog_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
         num = (scaled * logp).sum(axis=0)
         out[sup] = (num / scaled.sum(axis=0))[sup]
     return out
-
-
-def laplace_entry(env: EnvironmentModel, i: int, j: int, theta: float) -> float:
-    """Tilted moment m_ij(theta) for 1-based types i, j; 0 off the support."""
-    if not env.support[i - 1, j - 1]:
-        _require_in_domain(env, theta)
-        return 0.0
-    return float(np.exp(log_moment_matrix(env, theta)[i - 1, j - 1]))
 
 
 # --------------------------------------------------------------------------

