@@ -19,37 +19,53 @@ ENVS = {
                 "comp.1.row.1 = 0.5 0.5\ncomp.1.row.2 = 0.5 0.5\n"
                 "comp.2.row.1 = 0.9 0.1\ncomp.2.row.2 = 0.9 0.1\n"),
     "sparse3": "kind = deterministic\nK = 3\nrow.1 = 0.5 0.3 0.2\nrow.2 = 0.6 0 0.4\nrow.3 = 0 0.7 0.3\n",
+    # no saturation prediction: a converge at j = 1 writes its report and exits 4
+    "crossed": ("kind = mixture\nK = 2\nweights = 0.5 0.5\n"
+                "comp.1.row.1 = 0.2 0.8\ncomp.1.row.2 = 0.8 0.2\n"
+                "comp.2.row.1 = 0.8 0.2\ncomp.2.row.2 = 0.2 0.8\n"),
 }
 
 SIMULATE = ["simulate", "--m-grid=64:8:4", "--reps=3", "--seed=7"]
+CONVERGE = ["converge", "--j=1", "--m-grid=64:4:4", "--reps=5", "--seed=8"]
+SPECTRAL = {"markov": ["spectral", "--theta-grid=-1:3:5"],
+            "dirichlet": ["spectral", "--theta-grid=0.5:3:4"]}
+# name: (environment, arguments, exit code)
 RUNS = {
-    **{f"simulate-{env}-j{j}.csv": (env, SIMULATE + [f"--j={j}"])
+    **{f"simulate-{env}-j{j}.csv": (env, SIMULATE + [f"--j={j}"], 0)
        for env in ("markov", "dirichlet", "mixture") for j in (1, 2, 8)},
-    **{f"simulate-sparse3-j{j}.csv": ("sparse3", SIMULATE + [f"--j={j}"]) for j in (1, 2)},
-    "converge-mixture-j1.csv": ("mixture", ["converge", "--j=1", "--m-grid=64:4:4", "--reps=5",
-                                            "--seed=8"]),
-    "simulate-dirichlet-j2.json": ("dirichlet", SIMULATE + ["--j=2", "--format=json"]),
+    **{f"simulate-sparse3-j{j}.csv": ("sparse3", SIMULATE + [f"--j={j}"], 0) for j in (1, 2)},
+    **{f"spectral-{env}.{fmt}": (env, args + [f"--format={fmt}"], 0)
+       for env, args in SPECTRAL.items() for fmt in ("csv", "json")},
+    **{f"converge-{env}-j1.{fmt}": (env, CONVERGE + [f"--format={fmt}"], code)
+       for env, code in (("mixture", 0), ("crossed", 4)) for fmt in ("csv", "json")},
+    "simulate-dirichlet-j2.json": ("dirichlet", SIMULATE + ["--j=2", "--format=json"], 0),
     "power-iid.csv": ("iid", ["simulate", "--alpha=0.5", "--m-grid=256:4:4", "--reps=3",
-                              "--seed=9"]),
-    "profile-markov.csv": ("markov", ["profile", "--depth=8", "--theta-grid=-1:2:4"]),
+                              "--seed=9"], 0),
+    "profile-markov.csv": ("markov", ["profile", "--depth=8", "--theta-grid=-1:2:4"], 0),
     "profile-sparse3.json": ("sparse3", ["profile", "--depth=9", "--theta-grid=0.5:3:3",
-                                         "--format=json"]),
+                                         "--format=json"], 0),
     "profile-dirichlet.json": ("dirichlet", ["profile", "--depth=7", "--theta-grid=0.5:3:3",
-                                             "--seed=3", "--format=json"]),
+                                             "--seed=3", "--format=json"], 0),
     "profile-mixture.csv": ("mixture", ["profile", "--depth=7", "--theta-grid=0:2:3",
-                                        "--seed=4"]),
+                                        "--seed=4"], 0),
     "profile-markov-truncated.csv": ("markov", ["profile", "--depth=30", "--cap=1000",
-                                                "--theta-grid=-1:2:4"]),
+                                                "--theta-grid=-1:2:4"], 0),
     "profile-sparse3-truncated.json": ("sparse3", ["profile", "--depth=40", "--cap=500",
-                                                   "--theta-grid=0.5:3:3", "--format=json"]),
-    "coupon-markov.csv": ("markov", ["coupon", "--depth=3", "--j=2", "--reps=4", "--seed=5"]),
+                                                   "--theta-grid=0.5:3:3", "--format=json"], 0),
+    "coupon-markov.csv": ("markov", ["coupon", "--depth=3", "--j=2", "--reps=4", "--seed=5"], 0),
     "coupon-dirichlet.json": ("dirichlet", ["coupon", "--depth=3", "--j=1", "--reps=4",
-                                            "--seed=6", "--format=json"]),
+                                            "--seed=6", "--format=json"], 0),
 }
 
 DIGESTS = {
+    "converge-crossed-j1.csv":
+        "9a3a5202358a08b6bd91888e93214a0fb7a3cf743c0f46edb1cc89b31c6b2512",
+    "converge-crossed-j1.json":
+        "6ddb62356128bb5e20b2a856248f492c78f1e538938f7c0e064dfe17013806ee",
     "converge-mixture-j1.csv":
         "5f7d965c550e3076ede53b8f471b607a2c7768847e10914c4dc9aa07109b316e",
+    "converge-mixture-j1.json":
+        "ccabb41bf5f17da419a6d190b8c76bdfe629c9fdac3c36faecd87e589d102ac0",
     "coupon-dirichlet.json":
         "2d75a229a4f2473f62714152f05c43fefac506bb250e6c38ef24859dd0f5f912",
     "coupon-markov.csv":
@@ -92,14 +108,22 @@ DIGESTS = {
         "bd3112219eee1ee913755f044b44e7fc52ad6b1d8aba1be5c0a2f11f8c7eb4b6",
     "simulate-sparse3-j2.csv":
         "38f258af673e91a7889f6ec60f9e74f5ec2819e28e8578cb930a8bc3d063e626",
+    "spectral-dirichlet.csv":
+        "4505177bbe71fb77d862933da48106683ad0827714e2b45876fe6836d06ace64",
+    "spectral-dirichlet.json":
+        "b82e79e614b60e7484a211b74e7f6e0a88f559511bcf1925e275eca03d150d99",
+    "spectral-markov.csv":
+        "376233124a6737c280e26c5a367ae3264389566c59216ebd602de5eea5fb22af",
+    "spectral-markov.json":
+        "00cd8d795740c236a3c3f89c5b50025afdbdbaeeef681b05a9bb81bcd6dcc9b6",
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes_are_pinned(name, tmp_path):
-    env, args = RUNS[name]
+    env, args, code = RUNS[name]
     env_path = tmp_path / f"{env}.env"
     env_path.write_text("[env]\n" + ENVS[env])
     out = tmp_path / name
-    assert main(args + [f"--env={env_path}", f"--out={out}"]) == 0
+    assert main(args + [f"--env={env_path}", f"--out={out}"]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name]
