@@ -56,7 +56,6 @@ from .errors import (
     TrielabError,
 )
 
-MODES = ("spectral", "simulate", "converge", "profile", "coupon")
 _ENV_SEED_VAR = "TRIELAB_SEED"
 # memory budget of one simulated level: a generation holds at most m/j boxes
 # with >= j balls, and their children take up to m/j x K int64 counts
@@ -91,6 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"--j must be >= 1, got {self.j}")
         if self.alpha is not None and not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"--alpha must lie in (0,1), got {self.alpha!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"the seed (--seed or {_ENV_SEED_VAR}) must be >= 0, "
+                              f"got {self.master_seed}")
         if self.replicates < 1:
             raise ConfigError(f"--reps must be >= 1, got {self.replicates}")
         if not 0 <= self.depth <= sim.DEFAULT_DEPTH_CAP:
@@ -101,6 +103,9 @@ class ExperimentConfig:
         if self.m_grid:
             if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
                 raise ConfigError("m grid must be strictly increasing (factor > 1)")
+        if self.mode == "converge" and len(self.m_grid) < 3:
+            raise ConfigError(f"converge fits a slope and needs at least 3 m grid points, "
+                              f"got {len(self.m_grid)}")
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise ConfigError(f"--workers must lie in 1..{cpus} (the CPU count), "
@@ -136,6 +141,14 @@ class ConvergenceReport:
     predicted: float
     relative_gap: float
     prediction_note: str = ""
+
+
+# the converge report's table, which emit_report and parse_report share: its
+# row columns with their parsers, and its footer keys with their report fields
+_ROW_COLUMNS = {"m": int, "stat": str, "mean": float, "median": float, "stderr": float,
+                "count": int}
+_FIT_FOOTER = {"slope": "fitted_slope", "r2": "fit_r2", "predicted": "predicted",
+               "relative_gap": "relative_gap"}
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +229,9 @@ def run_converge(config: ExperimentConfig, env: EnvironmentModel) -> Convergence
     """Slope of the chosen statistic against ln m over the geometric grid.
 
     Heights are concentrated, so the fit uses per-m means; saturation levels
-    (j = 1) have heavy upper tails, so the fit uses per-m medians.
+    (j = 1) have heavy upper tails, so the fit uses per-m medians.  A regime
+    without a predicted constant leaves `predicted` NaN and says why in
+    `prediction_note`.
     """
     results = _collect_runs(config, env)
     height_mode = config.alpha is not None or (config.j is not None and config.j >= 2)
@@ -250,24 +265,8 @@ def run_converge(config: ExperimentConfig, env: EnvironmentModel) -> Convergence
         predicted = math.nan
         note = f"{type(exc).__name__}: {exc}"
     gap = abs(slope - predicted) / predicted if (math.isfinite(predicted) and predicted) else math.nan
-    report = ConvergenceReport(rows=rows, fitted_slope=slope, fit_r2=r2,
-                               predicted=predicted, relative_gap=gap,
-                               prediction_note=note)
-    if note:
-        raise _PredictionMissing(report, note)
-    return report
-
-
-class _PredictionMissing(TrielabError):
-    """Internal: carries a finished report whose regime has no prediction."""
-
-    def __init__(self, report, note):
-        super().__init__(note)
-        self.report = report
-
-
-def run_simulate(config: ExperimentConfig, env: EnvironmentModel) -> list:
-    return _collect_runs(config, env)
+    return ConvergenceReport(rows=rows, fitted_slope=slope, fit_r2=r2, predicted=predicted,
+                             relative_gap=gap, prediction_note=note)
 
 
 def run_spectral(config: ExperimentConfig, env: EnvironmentModel):
@@ -316,6 +315,15 @@ def run_coupon(config: ExperimentConfig, env: EnvironmentModel) -> list:
     return outcomes
 
 
+MODES = {
+    "spectral": run_spectral,
+    "simulate": _collect_runs,
+    "converge": run_converge,
+    "profile": run_profile,
+    "coupon": run_coupon,
+}
+
+
 # --------------------------------------------------------------------------
 # report emission
 # --------------------------------------------------------------------------
@@ -323,6 +331,8 @@ def run_coupon(config: ExperimentConfig, env: EnvironmentModel) -> list:
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -354,135 +364,77 @@ def _json_safe(x):
     return x
 
 
-def emit_report(payload, path, fmt: str = "csv") -> None:
-    """Write a report; CSV schemas are fixed per mode, JSON mirrors field names."""
-    if fmt == "json":
-        _write(path, json.dumps(_json_safe(_payload_dict(payload)),
-                                sort_keys=True, separators=(",", ":")) + "\n")
-        return
-    lines = []
+def _layout(payload):
+    """The one description of each report kind: (CSV columns, CSV rows, CSV
+    footer pairs, JSON document).  JSON rows mirror the CSV column names."""
     if isinstance(payload, ConvergenceReport):
-        lines.append("m,stat,mean,median,stderr,count")
-        for r in payload.rows:
-            lines.append(
-                f"{r.m},{r.stat},{_fmt(r.mean)},{_fmt(r.median)},{_fmt(r.stderr)},{r.count}"
-            )
-        lines.append(f"slope,{_fmt(payload.fitted_slope)}")
-        lines.append(f"r2,{_fmt(payload.fit_r2)}")
-        lines.append(f"predicted,{_fmt(payload.predicted)}")
-        lines.append(f"relative_gap,{_fmt(payload.relative_gap)}")
+        columns = tuple(_ROW_COLUMNS)
+        rows = [tuple(getattr(r, c) for c in columns) for r in payload.rows]
+        footer = [(key, getattr(payload, name)) for key, name in _FIT_FOOTER.items()]
+        doc = {**vars(payload), "rows": [dict(zip(columns, row)) for row in rows]}
     elif isinstance(payload, spectral.SpectralProfile):
-        lines.append("theta,rho,log_rho,drift,psi,phi,f")
-        for sv in payload.shapes:
-            lines.append(",".join(_fmt(v) for v in (
-                sv.theta, math.exp(sv.log_rho), sv.log_rho, sv.drift, sv.psi, sv.phi, sv.f)))
+        columns = ("theta", "rho", "log_rho", "drift", "psi", "phi", "f")
+        rows = [(sv.theta, math.exp(sv.log_rho), sv.log_rho, sv.drift, sv.psi, sv.phi, sv.f)
+                for sv in payload.shapes]
         c = payload.constants
-        lines.append(f"c_star_lower,{_fmt(c.c_star_lower)}")
-        lines.append(f"c_star_upper,{_fmt(c.c_star_upper)}")
-        lines.append(f"theta_star_lower,{_fmt(c.theta_star_lower)}")
-        lines.append(f"theta_star_upper,{_fmt(c.theta_star_upper)}")
-        lines.append(f"condition_saturation_ok,{_fmt(c.condition_saturation_ok)}")
+        keys = ("c_star_lower", "c_star_upper", "theta_star_lower", "theta_star_upper",
+                "condition_saturation_ok")
+        footer = [(key, getattr(c, key)) for key in keys]
+        doc = {"rows": [dict(zip(columns, row)) for row in rows],
+               "constants": {**dict(footer), "notes": c.notes}}
     elif isinstance(payload, sim.LevelProfile):
         K = len(payload.per_type_boxes)
-        lines.append("theta,martingale," + ",".join(f"laplace_{i + 1}" for i in range(K)))
-        for theta in sorted(payload.laplace):
-            vals = [theta, payload.martingale.get(theta)] + list(payload.laplace[theta])
-            lines.append(",".join(_fmt(v) for v in vals))
-        lines.append(f"n,{payload.n}")
-        lines.append(f"truncated,{_fmt(payload.truncated)}")
-        lines.append(f"min_log_size,{_fmt(payload.min_log_size)}")
-        lines.append(f"max_log_size,{_fmt(payload.max_log_size)}")
+        columns = ("theta", "martingale", *(f"laplace_{i + 1}" for i in range(K)))
+        rows = [(theta, payload.martingale.get(theta), *payload.laplace[theta])
+                for theta in sorted(payload.laplace)]
+        footer = [(key, getattr(payload, key))
+                  for key in ("n", "truncated", "min_log_size", "max_log_size")]
+        doc = {**dict(footer), "laplace": payload.laplace, "martingale": payload.martingale}
     elif payload and isinstance(payload[0], sim.CouponOutcome):
-        lines.append("rep,throws")
         throws = [o.throws for o in payload]
-        for rep, t in enumerate(throws):
-            lines.append(f"{rep},{t}")
-        lines.append(f"n,{payload[0].n}")
-        lines.append(f"j,{payload[0].j}")
-        lines.append(f"mean,{_fmt(float(np.mean(throws)))}")
-        lines.append(f"median,{_fmt(_median(throws))}")
-    else:  # simulate rows
-        lines.append("m_index,rep,j,height,saturation,expanded_nodes,max_depth_reached")
-        for m_idx, rep, j, h, g, ex, md in payload:
-            lines.append(f"{m_idx},{rep},{j},{'' if h is None else h},{g},{ex},{md}")
-    _write(path, "\n".join(lines) + "\n")
+        columns, rows = ("rep", "throws"), list(enumerate(throws))
+        footer = [("n", payload[0].n), ("j", payload[0].j),
+                  ("mean", float(np.mean(throws))), ("median", _median(throws))]
+        doc = {**dict(footer[:2]), "throws": throws}
+    else:  # simulate runs
+        columns = ("m_index", "rep", "j", "height", "saturation", "expanded_nodes",
+                   "max_depth_reached")
+        rows, footer = payload, []
+        doc = {"runs": [dict(zip(columns, row)) for row in rows]}
+    return columns, rows, footer, doc
 
 
-def _payload_dict(payload):
-    if isinstance(payload, ConvergenceReport):
-        return {
-            "rows": [vars(r) for r in payload.rows],
-            "fitted_slope": payload.fitted_slope,
-            "fit_r2": payload.fit_r2,
-            "predicted": payload.predicted,
-            "relative_gap": payload.relative_gap,
-            "prediction_note": payload.prediction_note,
-        }
-    if isinstance(payload, spectral.SpectralProfile):
-        return {
-            "rows": [
-                {"theta": sv.theta, "rho": math.exp(sv.log_rho), "log_rho": sv.log_rho,
-                 "drift": sv.drift, "psi": sv.psi, "phi": sv.phi, "f": sv.f}
-                for sv in payload.shapes
-            ],
-            "constants": {
-                "c_star_lower": payload.constants.c_star_lower,
-                "c_star_upper": payload.constants.c_star_upper,
-                "theta_star_lower": payload.constants.theta_star_lower,
-                "theta_star_upper": payload.constants.theta_star_upper,
-                "condition_saturation_ok": payload.constants.condition_saturation_ok,
-                "notes": payload.constants.notes,
-            },
-        }
-    if isinstance(payload, sim.LevelProfile):
-        return {
-            "n": payload.n,
-            "truncated": payload.truncated,
-            "min_log_size": payload.min_log_size,
-            "max_log_size": payload.max_log_size,
-            "laplace": {str(k): _json_safe(v) for k, v in payload.laplace.items()},
-            "martingale": {str(k): v for k, v in payload.martingale.items()},
-        }
-    if payload and isinstance(payload[0], sim.CouponOutcome):
-        return {
-            "n": payload[0].n,
-            "j": payload[0].j,
-            "throws": [o.throws for o in payload],
-        }
-    return {
-        "runs": [
-            {"m_index": m_idx, "rep": rep, "j": j, "height": h, "saturation": g,
-             "expanded_nodes": ex, "max_depth_reached": md}
-            for m_idx, rep, j, h, g, ex, md in payload
-        ]
-    }
+def emit_report(payload, path, fmt: str = "csv") -> None:
+    """Write a report in its _layout: the columns, rows and footer pairs as
+    CSV, or the document as JSON."""
+    columns, rows, footer, doc = _layout(payload)
+    if fmt == "json":
+        text = json.dumps(_json_safe(doc), sort_keys=True, separators=(",", ":"))
+    else:
+        text = "\n".join([",".join(columns),
+                          *(",".join(_fmt(v) for v in row) for row in rows),
+                          *(f"{key},{_fmt(value)}" for key, value in footer)])
+    _write(path, text + "\n")
 
 
 def parse_report(path, fmt: str = "csv") -> ConvergenceReport:
     """Read back a converge report (round-trip partner of emit_report)."""
-    if fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rows = [RowStat(**r) for r in doc["rows"]]
-        nanify = lambda v: math.nan if v is None else v
-        return ConvergenceReport(rows=rows, fitted_slope=nanify(doc["fitted_slope"]),
-                                 fit_r2=nanify(doc["fit_r2"]), predicted=nanify(doc["predicted"]),
-                                 relative_gap=nanify(doc["relative_gap"]),
-                                 prediction_note=doc.get("prediction_note", ""))
-    rows = []
-    footer = {}
     with open(path, encoding="utf-8") as fh:
+        if fmt == "json":
+            doc = json.load(fh)
+            rows = [RowStat(**r) for r in doc.pop("rows")]
+            return ConvergenceReport(rows=rows, **{k: math.nan if v is None else v
+                                                   for k, v in doc.items()})
         lines = fh.read().splitlines()
+    rows, fit = [], {}
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) == 6:
-            rows.append(RowStat(m=int(parts[0]), stat=parts[1], mean=float(parts[2]),
-                                median=float(parts[3]), stderr=float(parts[4]),
-                                count=int(parts[5])))
-        elif len(parts) == 2:
-            footer[parts[0]] = float(parts[1])
-    return ConvergenceReport(rows=rows, fitted_slope=footer["slope"], fit_r2=footer["r2"],
-                             predicted=footer["predicted"], relative_gap=footer["relative_gap"])
+        if len(parts) == len(_ROW_COLUMNS):
+            rows.append(RowStat(*(parse(v) for parse, v in zip(_ROW_COLUMNS.values(), parts))))
+        else:
+            key, value = parts
+            fit[_FIT_FOOTER[key]] = float(value)
+    return ConvergenceReport(rows=rows, **fit)
 
 
 # --------------------------------------------------------------------------
@@ -528,6 +480,9 @@ def _parse_theta_grid(text: str) -> list:
         raise ConfigError(f"--theta-grid must be LO:HI:STEPS, got {text!r}") from None
     if steps < 1:
         raise ConfigError("--theta-grid needs at least one step")
+    if steps * 8 > LEVEL_BYTES:
+        raise CapExceeded(f"--theta-grid {text!r} holds {steps} float64 points, past the "
+                          f"{LEVEL_BYTES} byte budget")
     return [float(t) for t in np.linspace(lo, hi, steps)]
 
 
@@ -593,20 +548,10 @@ def main(argv=None) -> int:
     try:
         env = load_env(config.env_path)
         config.validate(env.K)
-        runner = {
-            "spectral": run_spectral,
-            "simulate": run_simulate,
-            "converge": run_converge,
-            "profile": run_profile,
-            "coupon": run_coupon,
-        }[config.mode]
-        try:
-            payload = runner(config, env)
-        except _PredictionMissing as exc:
-            emit_report(exc.report, config.out_path, config.out_format)
-            print(f"error: PredictionUnavailable: {exc}", file=sys.stderr)
-            return 4
+        payload = MODES[config.mode](config, env)
         emit_report(payload, config.out_path, config.out_format)
+        if isinstance(payload, ConvergenceReport) and payload.prediction_note:
+            raise PredictionUnavailable(payload.prediction_note)
         return 0
     except (TrielabError, FileNotFoundError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

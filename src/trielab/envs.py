@@ -159,7 +159,7 @@ def _check_stochastic(rows: np.ndarray, what: str) -> None:
         raise BadRows(f"{what} contains a negative entry")
 
 
-def _finalize(kind, K, support, **payload) -> EnvironmentModel:
+def _finalize(kind, K, support, domain_lo=-math.inf, **payload) -> EnvironmentModel:
     per_row = support.sum(axis=1)
     if (per_row < 2).any():
         i = int(np.argmin(per_row))
@@ -175,7 +175,8 @@ def _finalize(kind, K, support, **payload) -> EnvironmentModel:
         if arr is not None:
             arr.setflags(write=False)
     cols = tuple(np.nonzero(support[i])[0] for i in range(K))
-    return EnvironmentModel(kind=kind, K=K, support=support, supported_cols=cols, **payload)
+    return EnvironmentModel(kind=kind, K=K, support=support, supported_cols=cols,
+                            domain_lo=domain_lo, **payload)
 
 
 def deterministic_env(rows) -> EnvironmentModel:
@@ -199,12 +200,9 @@ def dirichlet_env(alpha) -> EnvironmentModel:
         i, j = np.argwhere(alpha < 0)[0]
         raise BadAlpha(f"alpha[{i + 1},{j + 1}] = {alpha[i, j]!r} is negative")
     support = alpha > 0.0
-    env = _finalize(DIRICHLET, K, support, alpha=alpha)
-    lo = -float(alpha[support].min())
-    return EnvironmentModel(
-        kind=env.kind, K=env.K, support=env.support, alpha=env.alpha,
-        domain_lo=lo, supported_cols=env.supported_cols,
-    )
+    # an empty support takes initial, and _finalize refuses it as NotRegular
+    lo = -float(alpha[support].min(initial=math.inf))
+    return _finalize(DIRICHLET, K, support, domain_lo=lo, alpha=alpha)
 
 
 def mixture_env(weights, comps) -> EnvironmentModel:

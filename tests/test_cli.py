@@ -285,11 +285,79 @@ def test_m_grid_past_the_level_budget_is_refused(tmp_path, iid_env_file, monkeyp
         err = capsys.readouterr().err
         assert err.startswith("error: CapExceeded:") and err.count("\n") == 1
         assert not out.exists()
-    # the budget admits m up to 2^20 with K = 5 at j = 1, and j divides the level
-    ExperimentConfig(env_path="", mode="converge", j=1, m_grid=[2 ** 20]).validate(5)
-    ExperimentConfig(env_path="", mode="converge", j=8, m_grid=[2 ** 23]).validate(2)
+    # the budget admits m up to 2^20 with K = 5 at j = 1, and j divides the
+    # level (a converge grid takes at least 3 points)
+    ExperimentConfig(env_path="", mode="converge", j=1,
+                     m_grid=[2 ** 18, 2 ** 19, 2 ** 20]).validate(5)
+    ExperimentConfig(env_path="", mode="converge", j=8,
+                     m_grid=[2 ** 21, 2 ** 22, 2 ** 23]).validate(2)
     ExperimentConfig(env_path="", mode="converge", alpha=0.5,
-                     m_grid=[2 ** 20]).validate(5)
+                     m_grid=[2 ** 18, 2 ** 19, 2 ** 20]).validate(5)
+
+
+def test_short_converge_grid_is_refused_before_simulating(tmp_path, iid_env_file,
+                                                         monkeypatch, capsys):
+    def levels(*_, **__):
+        raise AssertionError("a refused m grid reached the simulator")
+
+    monkeypatch.setattr(tl.sim, "_run_levels", levels)
+    for grid, count in (("64:2:2", 2), ("64:2:1", 1)):
+        out = tmp_path / "c.csv"
+        assert main(converge_args(iid_env_file, str(out), ("--m-grid", grid))) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: ConfigError: converge fits a slope and needs at least 3 m grid "
+                       f"points, got {count}\n")
+        assert not out.exists()
+
+
+def seed_args(mode, env_file, out):
+    return [mode, "--env", env_file, "--j", "2", "--m-grid", "64:2:3", "--reps", "2",
+            "--depth", "2", "--out", out]
+
+
+@pytest.mark.parametrize("mode", ["converge", "simulate", "coupon"])
+def test_negative_seed_flag_is_refused(tmp_path, iid_env_file, capsys, mode):
+    out = tmp_path / "s.csv"
+    assert main(seed_args(mode, iid_env_file, str(out)) + ["--seed", "-3"]) == 2
+    assert capsys.readouterr().err == ("error: ConfigError: the seed (--seed or TRIELAB_SEED) "
+                                       "must be >= 0, got -3\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["converge", "simulate", "coupon"])
+def test_negative_seed_variable_is_refused(tmp_path, iid_env_file, monkeypatch, capsys, mode):
+    out = tmp_path / "s.csv"
+    monkeypatch.setenv("TRIELAB_SEED", "-1")
+    assert main(seed_args(mode, iid_env_file, str(out))) == 2
+    assert capsys.readouterr().err == ("error: ConfigError: the seed (--seed or TRIELAB_SEED) "
+                                       "must be >= 0, got -1\n")
+    assert not out.exists()
+    # the flag overrides the variable
+    assert main(seed_args(mode, iid_env_file, str(out)) + ["--seed", "0"]) == 0
+
+
+def test_theta_grid_past_the_byte_budget_is_refused(tmp_path, iid_env_file, monkeypatch,
+                                                    capsys):
+    def linspace(*_, **__):
+        raise AssertionError("a refused theta grid was built")
+
+    monkeypatch.setattr(tl.cli.np, "linspace", linspace)
+    steps = tl.cli.LEVEL_BYTES // 8 + 1
+    with pytest.raises(CapExceeded, match=f"holds {steps} float64 points, past the"):
+        build_config(["spectral", f"--env={iid_env_file}", f"--theta-grid=0:1:{steps}",
+                      "--out=x.csv"])
+    out = tmp_path / "t.csv"
+    assert main(["spectral", f"--env={iid_env_file}", "--theta-grid=0:1:" + "9" * 30,
+                 f"--out={out}"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: CapExceeded: --theta-grid") and err.count("\n") == 1
+    assert not out.exists()
+    # the budget's last point is admitted; the stand-in builds no grid
+    calls = []
+    monkeypatch.setattr(tl.cli.np, "linspace", lambda lo, hi, n: calls.append(n) or [])
+    build_config(["spectral", f"--env={iid_env_file}", f"--theta-grid=0:1:{steps - 1}",
+                  "--out=x.csv"])
+    assert calls == [steps - 1]
 
 
 @pytest.mark.parametrize("args,message", [
@@ -335,7 +403,8 @@ def test_m_grid_refusals_are_bounded_in_memory(iid_env_file):
         tracemalloc.stop()
     assert peak < 2 ** 20
     # the smallest strictly increasing grids still pass: 1, 2 from 1 x 1.6
-    assert build_config(["converge", f"--env={iid_env_file}", "--m-grid=1:1.6:2",
+    # (in simulate: a converge grid takes at least 3 points)
+    assert build_config(["simulate", f"--env={iid_env_file}", "--m-grid=1:1.6:2",
                          "--out=x.csv"]).m_grid == [1, 2]
 
 
