@@ -60,6 +60,9 @@ _ENV_SEED_VAR = "TRIELAB_SEED"
 # memory budget of one simulated level: a generation holds at most m/j boxes
 # with >= j balls, and their children take up to m/j x K int64 counts
 LEVEL_BYTES = 2 ** 26
+# a replicate's task and result records, as _collect_runs keeps them (about
+# 430 bytes under tracemalloc; a coupon outcome takes less)
+RUN_BYTES = 512
 
 
 @dataclass
@@ -100,6 +103,13 @@ class ExperimentConfig:
                               f"generation cap), got {self.depth}")
         if self.cap < 1:
             raise ConfigError(f"--cap must be >= 1, got {self.cap}")
+        if self.cap * 8 > LEVEL_BYTES:
+            raise CapExceeded(f"--cap {self.cap} admits that many float64 box masses, past "
+                              f"the {LEVEL_BYTES} byte budget")
+        runs = self.replicates * (len(self.m_grid) if self.mode in ("simulate", "converge") else 1)
+        if runs * RUN_BYTES > LEVEL_BYTES:
+            raise CapExceeded(f"--reps {self.replicates} makes {runs} runs of {RUN_BYTES} bytes "
+                              f"each, past the {LEVEL_BYTES} byte budget")
         if self.m_grid:
             if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
                 raise ConfigError("m grid must be strictly increasing (factor > 1)")

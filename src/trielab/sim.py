@@ -34,8 +34,9 @@ Every box draws its own row, so a box of type i holding c balls roots an
 independent subtree whose height law depends on (i, c) alone (the height
 recursion of Szpankowski, 1991).  Once G is decided, the height run freezes
 every box holding j <= c <= C0 balls, and at the end of the run draws each
-(level, type, count) class maximum from exact subtree-height tail tables;
-only boxes holding more than C0 balls are split further.
+(level, type, count) class maximum from exact subtree-height tail tables,
+built by convolving the product-form split laws; only boxes holding more
+than C0 balls are split further.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegim
 
 DEFAULT_DEPTH_CAP = 10_000
 COUPON_BOX_CAP = 1_000_000
-C0 = 64                   # largest ball count a height run resolves from tables
+C0 = 160                  # largest ball count a height run resolves from tables
 _POISSON_LAM_MAX = _INT64_MAX - 10 * math.sqrt(_INT64_MAX)   # numpy's Generator.poisson limit
 
 
@@ -143,53 +144,40 @@ def _step(env, types, counts, j, rng):
     return kept % env.K, block.ravel().take(kept)
 
 
-def _log_rising(a, C):
-    """ln[Gamma(a + k) / (Gamma(a) k!)] for k = 0..C, as the cumulative sum of
-    ln(1 + (a - 1)/(i + 1)): its partial sums stay small for a near 0 or 1."""
-    return np.concatenate(([0.0], np.cumsum(np.log1p((a - 1.0) / np.arange(1, C + 1)))))
-
-
 def _split_pmfs(env, i, C):
     """Exact split law of a type-(i+1) box, as chains over its supported children.
 
     Returns [(weight, steps, last)]: one chain per row component (the mixture
-    components, else one).  steps holds (col, B) with B[r, x] the probability
-    that child `col` takes x of the r balls still unassigned; `last` takes
-    the rest.  Fixed rows give conditional binomials, as _split_counts draws
-    them; Dirichlet rows give beta-binomials, by stick-breaking, with
-    ln P(x | r) = L_a[x] + L_b[r - x] - L_(a+b)[r] for L_a = _log_rising(a, C).
+    components, else one).  steps holds (col, u, v, w): child `col` takes x
+    of the r balls still unassigned with probability w[r] u[x] v[r - x];
+    `last` takes the rest.  Fixed rows give conditional binomials, as
+    _split_counts draws them (u = p^x / x!, v = q^y / y!, w = r!), Dirichlet
+    rows beta-binomials, by stick-breaking (u, v, 1 / w: the rising factorials
+    of a, b, a + b).  Each factor is a running product of its per-step ratios
+    under a tilt sigma^k, which cancels as x + (r - x) = r.
     """
     cols = env.supported_cols[i]
-    r = np.arange(C + 1)[:, None]
-    x = np.arange(C + 1)[None, :]
-    below = x <= r
-    xs, rest = np.minimum(x, r), np.maximum(r - x, 0)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, C + 1)))))
-    log_comb = log_fact[r] - log_fact[xs] - log_fact[rest]
+    k = np.arange(1.0, C + 1)
 
-    def chain(log_pmf_of):
-        steps = []
-        for t, col in enumerate(cols[:-1]):
-            B = np.where(below, np.exp(log_pmf_of(t)), 0.0)
-            steps.append((int(col), B))
-        return steps, int(cols[-1])
+    def factors(x, y, r):                            # u, v, w step by x / k, y / k, k / r
+        sigma = C / np.max(r)                        # the tilt: w's last step is 1
+        return [np.concatenate(([1.0], np.cumprod(f)))
+                for f in (x * sigma / k, y * sigma / k, k / (r * sigma))]
 
     def binomial(row):
         # 1 - p from the tails: never 0 before the last column, even where p rounds to 1
         tails = np.cumsum(row[::-1])[::-1]
-        log_p, log_q = np.log(row[:-1] / tails[:-1]), np.log(tails[1:] / tails[:-1])
-        return lambda t: log_comb + xs * log_p[t] + rest * log_q[t]
+        return [(int(col), *factors(row[t] / tails[t], tails[t + 1] / tails[t], 1.0))
+                for t, col in enumerate(cols[:-1])], int(cols[-1])
 
     if env.kind == DIRICHLET:
         a = env.alpha[i, cols]
         tails = np.cumsum(a[::-1])[::-1]            # tails[t] = a[t] + tails[t + 1]
-        pmf = lambda t: (_log_rising(a[t], C)[xs] + _log_rising(tails[t + 1], C)[rest]
-                         - _log_rising(tails[t], C)[r])
-        return [(1.0, *chain(pmf))]
+        return [(1.0, [(int(col), *factors(a[t] - 1 + k, tails[t + 1] - 1 + k, tails[t] - 1 + k))
+                       for t, col in enumerate(cols[:-1])], int(cols[-1]))]
     if env.kind == DETERMINISTIC:
-        return [(1.0, *chain(binomial(env.rows[i, cols])))]
-    return [(float(q), *chain(binomial(comp[i, cols])))
-            for q, comp in zip(env.weights, env.comps)]
+        return [(1.0, *binomial(env.rows[i, cols]))]
+    return [(float(q), *binomial(comp[i, cols])) for q, comp in zip(env.weights, env.comps)]
 
 
 class _HeightTable:
@@ -198,7 +186,10 @@ class _HeightTable:
     S counts the generations below the box until every descendant holds < j
     balls: S = 0 for c < j, else S = 1 + the largest S among its children.
     Rows are added on demand (into a buffer that doubles), each by one pass
-    over the exact split law.  The tail is carried directly, using
+    over the exact split law: a chain step, sum_x P(x | r) [T(x) + F(x)
+    g(r - x)], is w * (conv(u T, v) + conv(u F, v g)), convolved directly:
+    sums of nonnegative terms keep their relative accuracy, which an FFT
+    would not.  The tail is carried directly, using
     1 - ab = (1 - a) + a (1 - b), so that 1 - F^N stays accurate for large
     class sizes N.  No random numbers.
     """
@@ -206,8 +197,6 @@ class _HeightTable:
     def __init__(self, env, j, C):
         self.j = j
         self.chains = [_split_pmfs(env, i, C) for i in range(env.K)]
-        r = np.arange(C + 1)[:, None]
-        self._gap = np.maximum(r - r.T, 0)           # r - x, clipped where B is 0
         self.tail = np.zeros((1, env.K, C + 1))
         self.tail[0, :, j:] = 1.0
         self.log_f = self._log1m(self.tail)
@@ -232,12 +221,12 @@ class _HeightTable:
             for i, comps in enumerate(self.chains):
                 for weight, steps, last in comps:
                     g = T[last]                    # tail of the children from here on
-                    for col, B in reversed(steps):
-                        g = B @ T[col] + (B * g[self._gap]) @ F[col]
+                    for col, u, v, w in reversed(steps):
+                        g = w * (np.convolve(u * T[col], v) + np.convolve(u * F[col], v * g))[:v.size]
                     nxt[i] += weight * g
             nxt[:, :self.j] = 0.0
-            np.minimum(nxt, 1.0, out=nxt)            # rounding can pass 1 where S > h surely
-            self.log_f[h] = self._log1m(nxt)
+            np.minimum(nxt, T, out=nxt)              # P(S > h+1) <= P(S > h); rounding can pass it
+        self.log_f[self.rows:rows] = self._log1m(self.tail[self.rows:rows])
         self.rows = max(self.rows, rows)
 
     def class_max(self, levels, types, counts, rng, cap):
@@ -521,6 +510,18 @@ def size_biased_walk(env: EnvironmentModel, n: int, rng: np.random.Generator):
     return tuple(path), -log_mass
 
 
+def _level_logs(env, n, rng):
+    """ln masses of every generation-n box, normalised to sum to 1; read-only."""
+    logs = np.concatenate(_enumerate_blocks(env, n, rng))
+    logs -= np.logaddexp.reduce(logs)
+    logs.flags.writeable = False
+    return logs
+
+
+# fixed rows draw nothing: every replicate shares one enumeration per (env, n)
+_fixed_level_logs = lru_cache(maxsize=32)(lambda env, n: _level_logs(env, n, None))
+
+
 def coupon_time(
     env: EnvironmentModel,
     n: int,
@@ -538,8 +539,7 @@ def coupon_time(
         raise ValueError(f"need j >= 1, got {j}")
     if positive_box_count(env, n, COUPON_BOX_CAP) > COUPON_BOX_CAP:
         raise CapExceeded(f"more than {COUPON_BOX_CAP} boxes at generation {n}")
-    logs = np.concatenate(_enumerate_blocks(env, n, rng))
-    logs -= np.logaddexp.reduce(logs)
+    logs = _fixed_level_logs(env, n) if env.is_deterministic else _level_logs(env, n, rng)
     log_tau = np.log(rng.standard_gamma(j, size=logs.shape[0])) - logs
     last = int(np.argmax(log_tau))
     log_p, gap = np.delete(logs, last), np.delete(log_tau, last) - log_tau[last]

@@ -408,6 +408,51 @@ def test_m_grid_refusals_are_bounded_in_memory(iid_env_file):
                          "--out=x.csv"]).m_grid == [1, 2]
 
 
+def test_cap_and_reps_past_the_byte_budget_are_refused(tmp_path, iid_env_file, monkeypatch,
+                                                       capsys):
+    # stand-ins for the enumeration and the run loops: a refused run reaches neither
+    def refused(*_, **__):
+        raise AssertionError("a refused command started work")
+
+    for name in ("enumerate_level", "coupon_time", "simulate_occupancy", "simulate_saturation"):
+        monkeypatch.setattr(tl.cli.sim, name, refused)
+    cap = tl.cli.LEVEL_BYTES // 8 + 1
+    runs = tl.cli.LEVEL_BYTES // tl.cli.RUN_BYTES + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"--cap {cap} admits"):
+            build_config(["profile", f"--env={iid_env_file}", f"--cap={cap}", "--out=x.csv"])
+        with pytest.raises(CapExceeded, match="--cap 10000000000000 admits"):
+            build_config(["profile", f"--env={iid_env_file}", "--cap=10000000000000",
+                          "--depth=40", "--out=x.csv"])
+        with pytest.raises(CapExceeded, match=f"makes {runs} runs"):
+            build_config(["coupon", f"--env={iid_env_file}", f"--reps={runs}", "--out=x.csv"])
+        # 4 grid points: a quarter of the replicates is already too many
+        with pytest.raises(CapExceeded, match=f"makes {4 * (runs // 4 + 1)} runs"):
+            build_config(["converge", f"--env={iid_env_file}", "--j=2", "--m-grid=64:2:4",
+                          f"--reps={runs // 4 + 1}", "--out=x.csv"])
+        with pytest.raises(CapExceeded, match="--reps 1" + "0" * 30):
+            build_config(["simulate", f"--env={iid_env_file}", "--j=2", "--m-grid=64:2:4",
+                          "--reps=1" + "0" * 30, "--out=x.csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    out = tmp_path / "c.csv"
+    assert main(["coupon", f"--env={iid_env_file}", f"--reps={runs}", f"--out={out}"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: CapExceeded: --reps") and err.count("\n") == 1
+    assert not out.exists()
+    # the budget's last values and the default --cap are admitted
+    assert build_config(["profile", f"--env={iid_env_file}", f"--cap={cap - 1}",
+                         "--out=x.csv"]).cap == cap - 1
+    assert build_config(["profile", f"--env={iid_env_file}", "--out=x.csv"]).cap == 2 ** 20
+    assert build_config(["coupon", f"--env={iid_env_file}", f"--reps={runs - 1}",
+                         "--out=x.csv"]).replicates == runs - 1
+    assert build_config(["converge", f"--env={iid_env_file}", "--j=2", "--m-grid=64:2:4",
+                         f"--reps={(runs - 1) // 4}", "--out=x.csv"]).replicates == (runs - 1) // 4
+
+
 def test_exit_code_coupon_past_int64(tmp_path):
     # a box of mass 1e-21 at depth 7: the other boxes' Poisson means pass
     # what numpy can draw, so the count is refused, not wrapped or crashed

@@ -71,7 +71,7 @@ DIGESTS = {
     "coupon-markov.csv":
         "be7fa03e33ef405ca539433b71b6841a192f54014412cf2afc7bf93a14eae497",
     "power-iid.csv":
-        "f8ddd69baf421f2d8e80adb3dde2c96fc477b95adb1e76cc93c2adfa6a2063cc",
+        "dd36735026e97e09c7199a8aada23f7bf3860e9f75bb10aad535f4e78f467ac7",
     "profile-dirichlet.json":
         "13409ff34bea1abdbd3fcd9ed6183c514eb224de439ad643ca59f8264f5bfef6",
     "profile-markov-truncated.csv":
@@ -87,27 +87,27 @@ DIGESTS = {
     "simulate-dirichlet-j1.csv":
         "2cdcf217475e2ff9cef4a09019611c9acc4f26ff8bfbfc412e28ea8f75775555",
     "simulate-dirichlet-j2.csv":
-        "0085dd5c1b838bcefe1daea361ea1ff2534c004b1dc61ee462ed4a15f943a671",
+        "7e99983e1ba6315e98c9910b8532c28351b13cbc2fbb454c1bcae174f2b8f367",
     "simulate-dirichlet-j2.json":
-        "2978cdb11489a3e0c0b48e363504e0528d7047c4780f47adc113915a79b56e43",
+        "55c02a5c37b664fb432beda7e9e3eecd8bd4d610f8133fa7dbde3a3a5320371d",
     "simulate-dirichlet-j8.csv":
-        "23ac6ec8ad32f5bf7fad64a63583da97d95192ba7971413c3e96eeb3f7c5b06e",
+        "c13f0fb78cfea4bb2f805f20fb40a23a5cd424043be9808dd012dc3ad4fdabc1",
     "simulate-markov-j1.csv":
         "6223b3ab3d3d4944c906fe097ed2e643082f8bb60a863d79eb121f9e4e4cc2e3",
     "simulate-markov-j2.csv":
-        "fc94c278e1d3f536e2cbbe9926e26f901cfc7b0bb34391aea8ebd5b133c9577f",
+        "b958c95a47101f496f7618816db50141fd6a8e80187599554ceb5a1fb6134326",
     "simulate-markov-j8.csv":
-        "43c5c202c60e86daf1318b291224b2b41d18fcf95ee90ed24afaec33519764dd",
+        "ab44204bcabfcbb43a88c92afc0ee2a6c12c193eb3cabe6ad5e0edfc3df1ee0d",
     "simulate-mixture-j1.csv":
         "2b3cdc9a898b012f2b8e3632c260e463e8d466d91e40d552dbdc74c3767194c1",
     "simulate-mixture-j2.csv":
-        "62d05a204189882d95ca7e158e0cd875b45d5afe87bbbcdf03e95c2709f2ad5e",
+        "0615a683994389cb033b767c32a7eb8c395b38b75811dc6216eb0e1ce4f2327e",
     "simulate-mixture-j8.csv":
-        "6e678fc659fba7117ce4a41bb73d003625e193f97bf6e47eac1f7ed544df9354",
+        "9dd5cd82f5b398b9ceff3774084569f51e8ccc57296c4b01613f1674387d7dd4",
     "simulate-sparse3-j1.csv":
         "bd3112219eee1ee913755f044b44e7fc52ad6b1d8aba1be5c0a2f11f8c7eb4b6",
     "simulate-sparse3-j2.csv":
-        "38f258af673e91a7889f6ec60f9e74f5ec2819e28e8578cb930a8bc3d063e626",
+        "f87691550c11a4eae10587f4e3c726e9d6548ea633fe34313f58171eb35eb23a",
     "spectral-dirichlet.csv":
         "4505177bbe71fb77d862933da48106683ad0827714e2b45876fe6836d06ace64",
     "spectral-dirichlet.json":

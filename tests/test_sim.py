@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,18 +183,34 @@ def _enumerated_tails(env, j, C, rows):
     return [{key: 1.0 - f for key, f in F.items()} for F in tails]
 
 
-@pytest.mark.parametrize("env", [
+def _chain_matrices(env, i, C):
+    """The chains of sim._split_pmfs as (weight, [(col, B)], last), with the
+    dense split matrix B[r, x] = w[r] u[x] v[r - x] of every step."""
+    r, x = np.arange(C + 1)[:, None], np.arange(C + 1)[None, :]
+    dense = lambda u, v, w: np.where(x <= r, w[r] * u[np.minimum(x, r)] * v[np.maximum(r - x, 0)],
+                                     0.0)
+    return [(weight, [(col, dense(u, v, w)) for col, u, v, w in steps], last)
+            for weight, steps, last in sim._split_pmfs(env, i, C)]
+
+
+SPLIT_ENVS = [
     *(make() for make in SPARSE_ENVS.values()),
     tl.dirichlet_env([[0.01, 0.02, 0.005], [0.003, 0.05, 0.01], [0.02, 0.001, 0.04]]),
-], ids=[*SPARSE_ENVS, "dirichlet-small-alpha"])
+]
+SPLIT_IDS = [*SPARSE_ENVS, "dirichlet-small-alpha"]
+
+
+@pytest.mark.parametrize("env", SPLIT_ENVS, ids=SPLIT_IDS)
 def test_split_chains_match_scipy_binomials(env):
     # every chain step against scipy.stats: a conditional binomial of the
     # column's share of the row's tail, or the beta-binomial of stick-breaking
-    C = sim.C0
+    # at C = 64: past 128 balls scipy's betabinom itself errs past the bound,
+    # so C = C0 is checked against exact laws below
+    C = 64
     r, x = np.arange(C + 1)[:, None], np.arange(C + 1)[None, :]
     for i in range(env.K):
         cols = env.supported_cols[i]
-        chains = sim._split_pmfs(env, i, C)
+        chains = _chain_matrices(env, i, C)
         steps = range(len(cols) - 1)
         if env.kind == DIRICHLET:
             a = env.alpha[i, cols]
@@ -208,6 +225,118 @@ def test_split_chains_match_scipy_binomials(env):
             assert [col for col, _ in chain] == list(cols[:-1])
             for (_, B), law in zip(chain, want):
                 assert np.abs(B - law.pmf(x)).max() <= 1e-13
+
+
+def _exact_split_law(env, i, C):
+    """Exact chain-step laws of the float parameters, in integers: per
+    component, per step, a function of (r, x) giving P(x | r) as (num, den)."""
+    cols = env.supported_cols[i]
+    if env.kind == DIRICHLET:
+        def rising(a):
+            out = [Fraction(1)]
+            for k in range(1, C + 1):
+                out.append(out[-1] * (a + k - 1) / k)
+            return out
+
+        def beta_binomial(ra, rb, rab):
+            return lambda r, x: (ra[x].numerator * rb[r - x].numerator * rab[r].denominator,
+                                 ra[x].denominator * rb[r - x].denominator * rab[r].numerator)
+
+        a = [Fraction(float(v)) for v in env.alpha[i, cols]]
+        return [[beta_binomial(rising(a[t]), rising(sum(a[t + 1:])), rising(sum(a[t:])))
+                 for t in range(len(cols) - 1)]]
+
+    def binomial(p, q):
+        # the float shares sim._split_counts draws with
+        pn, pd, qn, qd = ([z ** k for k in range(C + 1)]
+                          for z in (*p.as_integer_ratio(), *q.as_integer_ratio()))
+        return lambda r, x: (math.comb(r, x) * pn[x] * qn[r - x], pd[x] * qd[r - x])
+
+    laws = []
+    for rows in [env.rows] if env.kind == DETERMINISTIC else env.comps:
+        row = rows[i, cols]
+        tails = np.cumsum(row[::-1])[::-1]
+        laws.append([binomial(float(row[t] / tails[t]), float(tails[t + 1] / tails[t]))
+                     for t in range(len(cols) - 1)])
+    return laws
+
+
+@pytest.mark.parametrize("env", SPLIT_ENVS, ids=SPLIT_IDS)
+def test_split_chains_match_exact_laws_at_the_cutoff(env):
+    # at C = C0, on every fourth row from r = C0 down (the running products'
+    # rounding grows with r), every entry above 1e-280 within 1e-13 relative
+    # of the exact law of its parameters, compared in integers: |b d - n| <=
+    # 1e-13 n for the entry b and the exact n / d
+    C, floor, bound = sim.C0, 10 ** 280, 10 ** 13
+    for i in range(env.K):
+        for (_, chain, _), exact in zip(_chain_matrices(env, i, C), _exact_split_law(env, i, C)):
+            for (_, B), law in zip(chain, exact):
+                for r in range(C, -1, -4):
+                    for x in range(r + 1):
+                        num, den = law(r, x)
+                        if num * floor > den:
+                            bn, bd = float(B[r, x]).as_integer_ratio()
+                            assert abs(bn * den - num * bd) * bound <= num * bd, (i, r, x)
+
+
+def _matrix_split_pmfs(env, i, C):
+    """sim._split_pmfs as it stood with one dense split matrix per chain step:
+    [(weight, [(col, B)], last)], B[r, x] = exp(ln P(x | r)) for x <= r."""
+    cols = env.supported_cols[i]
+    r = np.arange(C + 1)[:, None]
+    x = np.arange(C + 1)[None, :]
+    below = x <= r
+    xs, rest = np.minimum(x, r), np.maximum(r - x, 0)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, C + 1)))))
+    log_comb = log_fact[r] - log_fact[xs] - log_fact[rest]
+
+    def log_rising(a):
+        return np.concatenate(([0.0], np.cumsum(np.log1p((a - 1.0) / np.arange(1, C + 1)))))
+
+    def chain(log_pmf_of):
+        steps = []
+        for t, col in enumerate(cols[:-1]):
+            B = np.where(below, np.exp(log_pmf_of(t)), 0.0)
+            steps.append((int(col), B))
+        return steps, int(cols[-1])
+
+    def binomial(row):
+        tails = np.cumsum(row[::-1])[::-1]
+        log_p, log_q = np.log(row[:-1] / tails[:-1]), np.log(tails[1:] / tails[:-1])
+        return lambda t: log_comb + xs * log_p[t] + rest * log_q[t]
+
+    if env.kind == DIRICHLET:
+        a = env.alpha[i, cols]
+        tails = np.cumsum(a[::-1])[::-1]
+        pmf = lambda t: (log_rising(a[t])[xs] + log_rising(tails[t + 1])[rest]
+                         - log_rising(tails[t])[r])
+        return [(1.0, *chain(pmf))]
+    if env.kind == DETERMINISTIC:
+        return [(1.0, *chain(binomial(env.rows[i, cols])))]
+    return [(float(q), *chain(binomial(comp[i, cols])))
+            for q, comp in zip(env.weights, env.comps)]
+
+
+def _matrix_tails(env, j, C, rows):
+    """tail[h, i, c] for h < rows, as _HeightTable.grow built it from the
+    dense split matrices: g = B @ T[col] + (B * g[r - x]) @ F[col]."""
+    chains = [_matrix_split_pmfs(env, i, C) for i in range(env.K)]
+    r = np.arange(C + 1)[:, None]
+    gap = np.maximum(r - r.T, 0)
+    tail = np.zeros((rows, env.K, C + 1))
+    tail[0, :, j:] = 1.0
+    for h in range(1, rows):
+        T = tail[h - 1]
+        F = 1.0 - T
+        for i, comps in enumerate(chains):
+            for weight, steps, last in comps:
+                g = T[last]
+                for col, B in reversed(steps):
+                    g = B @ T[col] + (B * g[gap]) @ F[col]
+                tail[h, i] += weight * g
+        tail[h, :, :j] = 0.0
+        np.minimum(tail[h], 1.0, out=tail[h])
+    return tail
 
 
 @pytest.mark.parametrize("kind", sorted(SPARSE_ENVS))
@@ -372,21 +501,58 @@ LAW_ENVS = {
 
 
 @pytest.mark.parametrize("name", sorted(LAW_ENVS))
-@pytest.mark.parametrize("m,j", [(40, 2), (2000, 2), (2000, 8)])
-def test_frozen_classes_keep_the_joint_law(name, m, j):
+@pytest.mark.parametrize("j", [2, 8])
+def test_height_table_matches_the_matrix_table(name, j):
+    # the convolution table against the dense-matrix one at C = C0, over
+    # every tail that a class draw can read (above 1e-30)
     env = LAW_ENVS[name]()
-    runs = 300
-    seed = (m, j, sorted(LAW_ENVS).index(name))
+    C, rows = sim.C0, 48
+    want = _matrix_tails(env, j, C, rows)
+    table = sim._HeightTable(env, j, C)
+    table.grow(rows)
+    got = table.tail[:rows]
+    read = want > 1e-30
+    assert (np.abs(got - want)[read] / want[read]).max() <= 1e-12
+    assert (got[~read] <= 1e-29).all()
+    assert (np.diff(got, axis=0) <= 0).all()
+    # rows do not depend on the order in which they were grown
+    stepwise = sim._HeightTable(env, j, C)
+    for upto in (3, 4, 11, 30, rows):
+        stepwise.grow(upto)
+    assert np.array_equal(stepwise.tail[:rows], got)
+
+
+def _same_joint_law(simulate, env, m, j, seed, runs=300):
+    """Chi-squared p of (H, G) from `simulate(rng)` against the full expansion."""
     new, old = {}, {}
     for k in range(runs):
-        obs = tl.simulate_occupancy(env, m, j, rng_of((1, *seed, k)))
+        obs = simulate(rng_of((1, *seed, k)))
         assert obs.saturation <= obs.height
         key = (obs.height, obs.saturation)
         new[key] = new.get(key, 0) + 1
         key = _full_expansion(env, m, j, rng_of((2, *seed, k)))
         old[key] = old.get(key, 0) + 1
     _, p, _, _ = stats.chi2_contingency(_pooled_table(new, old))
-    assert p > 0.001
+    return p
+
+
+# 300 balls: the root is split, and its children straddle C0
+@pytest.mark.parametrize("name", sorted(LAW_ENVS))
+@pytest.mark.parametrize("m,j", [(40, 2), (300, 2), (2000, 2), (2000, 8)])
+def test_frozen_classes_keep_the_joint_law(name, m, j):
+    env = LAW_ENVS[name]()
+    seed = (m, j, sorted(LAW_ENVS).index(name))
+    assert _same_joint_law(lambda rng: tl.simulate_occupancy(env, m, j, rng), env, m, j,
+                           seed) > 0.001
+
+
+def test_frozen_classes_keep_the_joint_law_in_the_power_regime():
+    # j = ceil(3000^0.5) = 55: the frozen boxes hold 55..C0 balls
+    env = LAW_ENVS["iid"]()
+    m, alpha = 3000, 0.5
+    j = math.ceil(m ** alpha)
+    assert _same_joint_law(lambda rng: tl.simulate_power_regime(env, m, alpha, rng), env, m, j,
+                           (m, j, 99)) > 0.001
 
 
 def test_frozen_draws_honour_the_depth_cap(env_iid):
@@ -796,6 +962,34 @@ def test_coupon_growth_rate_matches_smallest_box(env_iid):
 def test_coupon_minimum_throws(env_markov):
     out = tl.coupon_time(env_markov, 2, 3, rng_of(1))
     assert out.throws >= 3 * positive_box_count(env_markov, 2, sim.COUPON_BOX_CAP)
+
+
+def _coupon_by_fresh_enumeration(env, n, j, rng):
+    """coupon_time as it stood when every replicate enumerated its level."""
+    logs = np.concatenate(sim._enumerate_blocks(env, n, rng))
+    logs -= np.logaddexp.reduce(logs)
+    log_tau = np.log(rng.standard_gamma(j, size=logs.shape[0])) - logs
+    last = int(np.argmax(log_tau))
+    log_p, gap = np.delete(logs, last), np.delete(log_tau, last) - log_tau[last]
+    lam = np.exp(log_p + log_tau[last] + np.log1p(-np.exp(gap)))
+    return j * logs.shape[0] + sum(rng.poisson(lam).tolist())
+
+
+@pytest.mark.parametrize("name,n,j", [("iid", 8, 1), ("iid", 8, 3), ("markov", 6, 2),
+                                      ("sparse", 5, 1), ("sparse", 4, 4)])
+def test_fixed_coupon_levels_are_enumerated_once(name, n, j):
+    # the cached level gives every replicate the throws and the generator
+    # state of one that enumerates its own level
+    env = {"iid": LAW_ENVS["iid"], "markov": LAW_ENVS["markov"],
+           "sparse": SPARSE_ENVS["deterministic"]}[name]()
+    rng, again = rng_of((n, j)), rng_of((n, j))
+    for _ in range(20):
+        assert tl.coupon_time(env, n, j, rng).throws == _coupon_by_fresh_enumeration(
+            env, n, j, again)
+        assert rng.bit_generator.state == again.bit_generator.state
+    logs = sim._fixed_level_logs(env, n)
+    assert not logs.flags.writeable
+    assert sim._fixed_level_logs(tl.deterministic_env(env.rows.tolist()), n) is logs
 
 
 def _thrown_coupon_time(logs, j, rng):
