@@ -868,6 +868,84 @@ def test_saturation_below_height_on_random_envs(env, m, j, seed):
     assert obs.max_depth_reached <= obs.height
 
 
+# A copy of enumerate_level as it stood while it held every box of
+# generation n: the level as per-type blocks of ln masses, every statistic
+# taken block by block, and matrix powers for fixed rows past the cap.
+
+def _enumerate_level_whole(env, n, theta_list=(), windows=(), cap=1_048_576, rng=None):
+    if rng is None:
+        rng = np.random.default_rng(0)
+    truncated = positive_box_count(env, n, cap) > cap
+    window_counts = {}
+    if truncated:
+        if not env.is_deterministic:
+            raise CapExceeded(f"more than {cap} boxes at generation {n}")
+        lo, hi = sim._extreme_paths(env, n)
+        laplace = {theta: np.linalg.matrix_power(tl.tilted_matrix(env, theta).entries, n)[0]
+                   for theta in theta_list}
+    else:
+        blocks = sim._enumerate_blocks(env, n, rng)
+        filled = [b for b in blocks if b.size]
+        lo, hi = min(b.min() for b in filled), max(b.max() for b in filled)
+        laplace = {theta: np.array([np.exp(theta * b).sum() for b in blocks])
+                   for theta in theta_list}
+        for theta, a, b in windows:
+            drift = tl.shape_values(env, theta).drift
+            lo_edge, hi_edge = n * drift - a, n * drift - b
+            window_counts[(theta, a, b)] = sum(
+                int(np.count_nonzero((x >= lo_edge) & (x <= hi_edge))) for x in filled)
+    martingale = {}
+    for theta, vec in laplace.items():
+        pt = tl.shape_values(env, theta)
+        v = tl.perron_triplet(tl.tilted_matrix(env, theta)).v
+        martingale[theta] = float((v / v[0]) @ vec * math.exp(-n * pt.log_rho))
+    return -lo, -hi, laplace, martingale, window_counts
+
+
+STREAM_ENVS = {
+    "markov": lambda: tl.deterministic_env([[0.9, 0.1], [0.2, 0.8]]),
+    "sparse3": SPARSE_ENVS["deterministic"],
+    "dirichlet-small-alpha": lambda: tl.dirichlet_env([[0.05, 0.02], [0.03, 0.08]]),
+    **LEVEL_LAW_ENVS,
+}
+
+
+# depth 15 on the sparse K = 3 supports: the parent blocks of generation 14
+# hold 29213, 36428 and 52640 boxes, past one or more 2^14-row chunks
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 13, 15])
+@pytest.mark.parametrize("name", sorted(STREAM_ENVS))
+def test_level_statistics_keep_the_stream_of_the_whole_level(name, n):
+    # the same extremes bit for bit, the same window counts and generator
+    # state after the level; the sums differ by summation order alone
+    env = STREAM_ENVS[name]()
+    seed = (sorted(STREAM_ENVS).index(name), n)
+    thetas, windows = [0.5, 1.0, 2.0], [(1.0, 1.0, 0.0), (2.0, 2.0, -1.0)]
+    rng, again = rng_of(seed), rng_of(seed)
+    prof = tl.enumerate_level(env, n, theta_list=thetas, windows=windows, rng=rng)
+    lo, hi, laplace, martingale, window_counts = _enumerate_level_whole(
+        env, n, theta_list=thetas, windows=windows, rng=again)
+    assert (prof.min_log_size, prof.max_log_size) == (lo, hi)
+    assert prof.window_counts == window_counts
+    for theta in thetas:
+        assert np.allclose(prof.laplace[theta], laplace[theta], rtol=1e-13, atol=0.0)
+        assert prof.martingale[theta] == pytest.approx(martingale[theta], rel=1e-13, abs=0.0)
+    assert rng.bit_generator.state == again.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_LAW_ENVS) + ["dirichlet-small-alpha"])
+def test_sample_rows_in_two_calls_draw_the_rows_of_one(name):
+    # count = a + b rows in one call, and a then b rows in two: the same
+    # rows and the same generator state after them
+    env = STREAM_ENVS[name]()
+    for i in range(env.K):
+        for a, b in ((0, 5), (1, 1), (3, 700), (1000, 1)):
+            rng, again = rng_of((i, a, b)), rng_of((i, a, b))
+            whole = tl.sample_rows(env, i, rng, count=a + b)
+            parts = [tl.sample_rows(env, i, again, count=c) for c in (a, b)]
+            assert np.array_equal(whole, np.concatenate(parts))
+            assert rng.bit_generator.state == again.bit_generator.state
+
+
 def test_random_env_over_cap_raises(env_dirichlet):
     with pytest.raises(CapExceeded):
         tl.enumerate_level(env_dirichlet, 24, cap=1000, rng=rng_of(0))
