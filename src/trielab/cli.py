@@ -285,32 +285,10 @@ def run_spectral(config: ExperimentConfig, env: EnvironmentModel):
     return spectral.spectral_profile(env, config.theta_grid)
 
 
-def _refuse_overflowing_sums(env: EnvironmentModel, n: int, thetas) -> None:
-    """Raise CapExceeded when a tilted level sum of generation n leaves float64.
-
-    The sums are the first row of the n-th tilted matrix power, carried in
-    log space by normalised vector-matrix steps, so the check itself cannot
-    overflow.  Exact zeros (types not reachable in n steps) are in range.
-    """
-    lo, hi = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
-    for theta in thetas:
-        A = spectral.tilted_matrix(env, theta).entries
-        vec, scale = np.eye(env.K)[0], 0.0
-        for _ in range(n):
-            vec = vec @ A
-            total = vec.sum()
-            vec, scale = vec / total, scale + math.log(total)
-        logs = scale + np.log(vec[vec > 0])
-        if logs.max() > hi or logs.min() < lo:
-            raise CapExceeded(
-                f"level sums at depth {n}, theta = {theta!r} reach e^{logs.max():.6g} "
-                f"and e^{logs.min():.6g}, outside the float64 range"
-            )
-
-
 def run_profile(config: ExperimentConfig, env: EnvironmentModel):
     if env.is_deterministic:
-        _refuse_overflowing_sums(env, config.depth, config.theta_grid)
+        # refuse sums outside float64 before the level is profiled
+        sim.level_sums(env, config.depth, config.theta_grid)
     rng = _stream(config.master_seed, 0, 0)
     return sim.enumerate_level(env, config.depth, theta_list=config.theta_grid,
                                cap=config.cap, rng=rng)
@@ -359,8 +337,10 @@ def _write(path, text):
 
 
 def _json_safe(x):
+    """x as strict JSON: NaN and infinities as the strings "nan", "inf" and
+    "-inf", which float() reads back."""
     if isinstance(x, float) and not math.isfinite(x):
-        return None
+        return str(x)
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, np.floating):
@@ -432,9 +412,10 @@ def parse_report(path, fmt: str = "csv") -> ConvergenceReport:
     with open(path, encoding="utf-8") as fh:
         if fmt == "json":
             doc = json.load(fh)
-            rows = [RowStat(**r) for r in doc.pop("rows")]
-            return ConvergenceReport(rows=rows, **{k: math.nan if v is None else v
-                                                   for k, v in doc.items()})
+            rows = [RowStat(**{k: _ROW_COLUMNS[k](v) for k, v in r.items()})
+                    for r in doc.pop("rows")]
+            fit = {name: float(doc.pop(name)) for name in _FIT_FOOTER.values()}
+            return ConvergenceReport(rows=rows, **fit, **doc)
         lines = fh.read().splitlines()
     rows, fit = [], {}
     for line in lines[1:]:

@@ -26,9 +26,14 @@ found in one pass; an unsupported column never gets a ball.  P_n is read
 from the environment's per-generation counts, which end once they pass
 int64, and so any m.
 
-Level enumeration keeps generation n as K blocks of ln masses, one per type,
-each drawing its rows in one sample_rows call; a size-biased walk takes one
-row and one uniform per step.
+Level enumeration keeps a generation as K blocks of ln masses, one per type,
+each drawing its rows in one sample_rows call.  A level profile holds no box
+of generation n: fixed rows take its tilted sums as the first row of
+M(theta)^n, by squaring in log space, and its extremes by max-plus steps; a
+random cascade holds generation n - 1 and reduces generation n piece by
+piece, drawing the rows of LEVEL_CHUNK parent boxes at a time in the order
+one call per block would draw them.  A size-biased walk takes one row and
+one uniform per step.
 
 Every box draws its own row, so a box of type i holding c balls roots an
 independent subtree whose height law depends on (i, c) alone (the height
@@ -50,12 +55,14 @@ import numpy as np
 
 from . import spectral
 from .envs import (DETERMINISTIC, DIRICHLET, EnvironmentModel, _fixed_row_index,
-                   _INT64_MAX, _row_shares, sample_rows)
+                   _INT64_MAX, _row_shares, log_moment_matrix, sample_rows)
 from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegime
 
 DEFAULT_DEPTH_CAP = 10_000
 COUPON_BOX_CAP = 1_000_000
 C0 = 160                  # largest ball count a height run resolves from tables
+LEVEL_CHUNK = 2 ** 14     # parent boxes per sample_rows call of a streamed last generation
+_LN2 = math.log(2.0)
 _POISSON_LAM_MAX = _INT64_MAX - 10 * math.sqrt(_INT64_MAX)   # numpy's Generator.poisson limit
 
 
@@ -75,8 +82,10 @@ class TrieObservation:
 class LevelProfile:
     """Exact box statistics of one generation (one realization if random).
 
-    per_type_boxes[i] holds the values -ln(l) for boxes of type i+1, in no
-    particular order.
+    per_type_boxes holds K empty arrays: no per-box data of the generation
+    is kept.  The field stays for readers that take its lengths
+    (perfbench/spans.py).
+    truncated says the generation has more than `cap` positive boxes.
     min_log_size / max_log_size are -ln of the smallest / largest box mass.
     window_counts[(theta, a, b)] counts boxes with ln(l) in
     [n*drift(theta) - a, n*drift(theta) - b].
@@ -419,6 +428,95 @@ def _extreme_paths(env, n):
     return -float(neg_lo.max()), float(hi.max())
 
 
+def _scaled_level_sums(env, n, theta):
+    """The tilted level sums of generation n on fixed rows, row 1 of
+    M(theta)^n, as (mantissas, e): the sums are mantissas * 2^e, exactly 0
+    where no path of length n ends.
+
+    Repeated squaring in O(K^3 log n): each power is a matrix scaled by a
+    power of two to largest entry in [1/2, 1), plus a running binary
+    exponent, so no step leaves float64 and no scaling rounds.
+    """
+    L = log_moment_matrix(env, theta)               # -inf off the support
+    power_exp = math.floor(L.max() / _LN2)
+    power = np.exp(L - power_exp * _LN2)            # M^(2^k) = power * 2^power_exp
+    vec, vec_exp = np.eye(env.K)[0], 0              # row 1 of M^(bits of n so far)
+    while n:
+        if n & 1:
+            vec = vec @ power
+            e = int(np.frexp(vec.max())[1])
+            vec, vec_exp = np.ldexp(vec, -e), vec_exp + power_exp + e
+        n >>= 1
+        if n:
+            power = power @ power
+            e = int(np.frexp(power.max())[1])
+            power, power_exp = np.ldexp(power, -e), 2 * power_exp + e
+    return vec, vec_exp
+
+
+def level_sums(env: EnvironmentModel, n: int, thetas: Sequence[float]) -> dict:
+    """{theta: tilted level sums of generation n} on fixed rows.
+
+    Taken from _scaled_level_sums, so the refusal comes before anything
+    leaves float64: CapExceeded when a sum lies outside its range.  Exact
+    zeros (types not reachable in n steps) are in range.
+    """
+    lo, hi = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    sums = {}
+    for theta in thetas:
+        vec, e = _scaled_level_sums(env, n, theta)
+        logs = np.log(vec[vec > 0]) + e * _LN2
+        if logs.max() > hi or logs.min() < lo:
+            raise CapExceeded(
+                f"level sums at depth {n}, theta = {theta!r} reach e^{logs.max():.6g} "
+                f"and e^{logs.min():.6g}, outside the float64 range"
+            )
+        sums[theta] = np.ldexp(vec, e)
+    return sums
+
+
+def _level_pieces(env, n, rng):
+    """Generation n piece by piece, never held whole: (cols, logs) pieces,
+    logs[r] the ln masses of children of type cols[r] + 1.
+
+    Generations 0..n-1 come from _enumerate_blocks.  Each block of
+    generation n - 1 then draws its rows LEVEL_CHUNK boxes at a time, in
+    block order: numpy's dirichlet and uniform draws of N rows equal draws
+    of N1 and N - N1 rows in turn, so the ln masses and the generator state
+    afterwards are those of one sample_rows call per block.
+    """
+    if n == 0:
+        yield np.zeros(1, dtype=np.int64), np.zeros((1, 1))
+        return
+    for i, block in enumerate(_enumerate_blocks(env, n - 1, rng)):
+        cols = env.supported_cols[i]
+        for start in range(0, block.size, LEVEL_CHUNK):
+            part = block[start:start + LEVEL_CHUNK]
+            with np.errstate(divide="ignore"):           # ln 0 off the support, never read
+                ln_rows = np.log(sample_rows(env, i, rng, count=part.size))
+            yield cols, ln_rows.T[cols] + part
+
+
+def _streamed_statistics(env, n, thetas, windows, rng):
+    """(laplace, lo, hi, window counts) of generation n, from _level_pieces:
+    per-type tilted sums, the smallest and largest ln mass, and the number
+    of boxes in each window."""
+    laplace = {theta: np.zeros(env.K) for theta in thetas}
+    edges = []
+    for theta, a, b in windows:
+        drift = spectral.shape_values(env, theta).drift
+        edges.append(((theta, a, b), n * drift - a, n * drift - b))
+    counts = {key: 0 for key, _, _ in edges}
+    lo, hi = math.inf, -math.inf
+    for cols, logs in _level_pieces(env, n, rng):
+        lo, hi = min(lo, logs.min()), max(hi, logs.max())
+        for theta, sums in laplace.items():
+            sums[cols] += np.exp(theta * logs).sum(axis=1)
+        for key, lo_edge, hi_edge in edges:
+            counts[key] += int(np.count_nonzero((logs >= lo_edge) & (logs <= hi_edge)))
+    return laplace, lo, hi, counts
+
+
 def enumerate_level(
     env: EnvironmentModel,
     n: int,
@@ -427,16 +525,16 @@ def enumerate_level(
     cap: int = 1_048_576,
     rng: Optional[np.random.Generator] = None,
 ) -> LevelProfile:
-    """Exact statistics of generation n: per-type neg-log masses, tilted sums
-    (Laplace transforms), extremes, window counts and martingale values.
+    """Exact statistics of generation n: tilted sums (Laplace transforms),
+    extremes, window counts and martingale values; laplace[theta][i] sums
+    l^theta over the boxes of type i+1.
 
-    The boxes come as one block of ln masses per type, and every statistic
-    is taken block by block: laplace[theta][i] sums l^theta over block i.
-
-    When the level holds more than `cap` positive boxes, a deterministic
-    environment falls back to dynamic-programming extremes plus matrix-power
-    tilted sums (truncated=True, no per-box data); a random environment cannot
-    be pruned (every box carries an independent row) and raises CapExceeded.
+    No per-box array of generation n is built.  Fixed rows take the sums
+    from level_sums (log-space squaring) and the extremes from max-plus
+    steps, at any depth; their window counts stream the level, and stay
+    empty past `cap` positive boxes (truncated=True).  A random environment
+    streams the level (_streamed_statistics); it cannot be pruned (every
+    box carries an independent row), and past `cap` it raises CapExceeded.
     So does a tilted sum or martingale value that leaves float64's range.
     """
     if rng is None:
@@ -444,30 +542,16 @@ def enumerate_level(
             raise ValueError("random environments need an rng to realize the cascade")
         rng = np.random.default_rng(0)
     truncated = positive_box_count(env, n, cap) > cap
-    window_counts = {}
-    if truncated:
-        if not env.is_deterministic:
-            raise CapExceeded(f"more than {cap} boxes at generation {n}; a random "
-                              "cascade cannot be pruned")
+    if env.is_deterministic:
+        laplace = level_sums(env, n, theta_list)
         lo, hi = _extreme_paths(env, n)
-        per_type = [np.array([]) for _ in range(env.K)]
-        laplace = {theta: np.linalg.matrix_power(spectral.tilted_matrix(env, theta).entries, n)[0]
-                   for theta in theta_list}
+        window_counts = ({} if truncated or not windows
+                         else _streamed_statistics(env, n, (), windows, rng)[3])
+    elif truncated:
+        raise CapExceeded(f"more than {cap} boxes at generation {n}; a random "
+                          "cascade cannot be pruned")
     else:
-        blocks = _enumerate_blocks(env, n, rng)
-        filled = [b for b in blocks if b.size]
-        lo, hi = min(b.min() for b in filled), max(b.max() for b in filled)
-        buf = np.empty(max(b.size for b in blocks))      # reused: a cold run pays per fresh page
-        laplace = {theta: np.array([np.exp(np.multiply(b, theta, out=buf[:b.size]),
-                                           out=buf[:b.size]).sum() for b in blocks])
-                   for theta in theta_list}
-        for theta, a, b in windows:
-            drift = spectral.shape_values(env, theta).drift
-            lo_edge = n * drift - a
-            hi_edge = n * drift - b
-            window_counts[(theta, a, b)] = sum(
-                int(np.count_nonzero((x >= lo_edge) & (x <= hi_edge))) for x in filled)
-        per_type = [np.negative(b, out=b) for b in blocks]
+        laplace, lo, hi, window_counts = _streamed_statistics(env, n, theta_list, windows, rng)
     martingale = {}
     for theta, vec in laplace.items():
         pt = spectral.shape_values(env, theta)
@@ -477,10 +561,10 @@ def enumerate_level(
         except OverflowError:                     # rho^-n past float64
             martingale[theta] = math.inf
         if not (np.isfinite(vec).all() and math.isfinite(martingale[theta])):
-            raise CapExceeded(f"level sums at generation {n}, theta = {theta!r} leave "
+            raise CapExceeded(f"level sums at depth {n}, theta = {theta!r} leave "
                               "the float64 range")
     return LevelProfile(
-        n=n, per_type_boxes=per_type, laplace=laplace,
+        n=n, per_type_boxes=[np.empty(0) for _ in range(env.K)], laplace=laplace,
         min_log_size=float(-lo), max_log_size=float(-hi),
         window_counts=window_counts, martingale=martingale, truncated=truncated,
     )

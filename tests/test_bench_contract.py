@@ -99,4 +99,6 @@ def test_traced_refusals_leave_no_empty_spans(tmp_path):
         assert name not in annotated or attrs is not None, f"{name} span without attributes"
     metrics = spans.per_layer(tracer.spans)
     assert metrics["sim.replicates"][0] == 12
-    assert metrics["sim.enumerate_boxes"][0] == 2 ** 8
+    # a profile keeps no per-box array of its generation
+    profiled = [attrs for name, _, _, _, attrs in tracer.spans if name == "sim.enumerate_level"]
+    assert profiled == [{"boxes": 0, "truncated": False}]

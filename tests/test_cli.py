@@ -74,8 +74,12 @@ def test_fit_degenerate():
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
     st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=40)))
 def test_median_is_np_median(values):
-    assert _median(values) == np.median(values)
-    assert _median(np.array(values)) == np.median(values)
+    # np.median's mean of the middle pair overflows for floats near the
+    # largest; _median's (a + b) / 2 gives the same inf, without a warning
+    with np.errstate(over="ignore"):
+        want = np.median(values)
+    assert _median(values) == want
+    assert _median(np.array(values)) == want
 
 
 # --------------------------------------------------------------------------
@@ -131,6 +135,31 @@ def test_report_roundtrip_json(tmp_path):
     back = parse_report(str(path), "json")
     assert back.rows == rep.rows and back.fit_r2 == rep.fit_r2
     json.loads(path.read_text())       # valid strict JSON
+
+
+def test_json_reports_keep_non_finite_numbers(tmp_path, iid_env_file):
+    # NaN and the infinities are written as strings and read back as floats
+    path = tmp_path / "r.json"
+    rep = sample_report()
+    rep.rows[0].stderr = math.inf
+    rep.fitted_slope, rep.predicted, rep.relative_gap = -math.inf, math.nan, math.nan
+    emit_report(rep, str(path), "json")
+
+    def refuse(name):
+        raise AssertionError(f"bare {name} in a JSON report")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert (doc["predicted"], doc["fitted_slope"], doc["rows"][0]["stderr"]) == ("nan", "-inf",
+                                                                                 "inf")
+    back = parse_report(str(path), "json")
+    assert math.isnan(back.predicted) and math.isnan(back.relative_gap)
+    assert back.fitted_slope == -math.inf and back.rows == rep.rows
+    # fixed rows have no finite theta* at either end
+    out = tmp_path / "s.json"
+    assert main(["spectral", "--env", iid_env_file, "--theta-grid", "0:2:3",
+                 "--format", "json", "--out", str(out)]) == 0
+    constants = json.loads(out.read_text(), parse_constant=refuse)["constants"]
+    assert (constants["theta_star_lower"], constants["theta_star_upper"]) == ("-inf", "inf")
 
 
 def test_spectral_csv_header(tmp_path, iid_env_file):

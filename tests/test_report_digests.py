@@ -61,7 +61,7 @@ DIGESTS = {
     "converge-crossed-j1.csv":
         "9a3a5202358a08b6bd91888e93214a0fb7a3cf743c0f46edb1cc89b31c6b2512",
     "converge-crossed-j1.json":
-        "6ddb62356128bb5e20b2a856248f492c78f1e538938f7c0e064dfe17013806ee",
+        "29041f159d692527f642478cabb22692b02b3f81742429dd172ae0a14e53f931",
     "converge-mixture-j1.csv":
         "5f7d965c550e3076ede53b8f471b607a2c7768847e10914c4dc9aa07109b316e",
     "converge-mixture-j1.json":
@@ -73,17 +73,17 @@ DIGESTS = {
     "power-iid.csv":
         "dd36735026e97e09c7199a8aada23f7bf3860e9f75bb10aad535f4e78f467ac7",
     "profile-dirichlet.json":
-        "13409ff34bea1abdbd3fcd9ed6183c514eb224de439ad643ca59f8264f5bfef6",
+        "27450eedeca7b311f0c845a410144998b3194121d80da7fcc50af28281eaf2e4",
     "profile-markov-truncated.csv":
-        "272822130d63fb8fa98de1ec291075b01358ff860bc8b9e5335afe3e7686aa20",
+        "7d440db3c3a79e961a1669911be3d37d025f640a59995e4a72fcad9a42be5be9",
     "profile-markov.csv":
-        "15fca701ce997490faae3f9eaef8954b21f23ca8598c41332751246ea98d2437",
+        "857bbe782452d8c78d76fb4de3bc71ec4a2005dbdb53588b707319cf18d6f6a1",
     "profile-mixture.csv":
-        "2b06ff946160ef18d42f581c2059be37527725941adf7a8fb8bb440b11ef6264",
+        "fc42252bde7e6f4d6a5ba5c6a364ed03725efc6084ff87a3088d467ee79fd9b0",
     "profile-sparse3-truncated.json":
-        "15daa3935b43e33e6b9872b6fbd3e5d038d4bfb3d01c376c448e9c4397858da8",
+        "b19f8b5d981618986ccb3fd0c5fcf88e4f5c17cecb05504c687e442d85915e64",
     "profile-sparse3.json":
-        "11a9f6c32f64d01e09f5373d7d956230598d522ebca07b4a4cbe5a36bd7aa7f0",
+        "6300c66907973e000a239b11469bc2d2235a0ff8e56e3564325f50f3e7a55eb2",
     "simulate-dirichlet-j1.csv":
         "2cdcf217475e2ff9cef4a09019611c9acc4f26ff8bfbfc412e28ea8f75775555",
     "simulate-dirichlet-j2.csv":
@@ -115,7 +115,7 @@ DIGESTS = {
     "spectral-markov.csv":
         "376233124a6737c280e26c5a367ae3264389566c59216ebd602de5eea5fb22af",
     "spectral-markov.json":
-        "00cd8d795740c236a3c3f89c5b50025afdbdbaeeef681b05a9bb81bcd6dcc9b6",
+        "1ec6f6f1d8fd9935a2930bb6238e0b5035839fb0887091b3d5ac9012fff06ec9",
 }
 
 

@@ -664,12 +664,13 @@ def test_level_step_keeps_the_stream(env, j, m, seed):
 # --------------------------------------------------------------------------
 
 def test_partition_of_mass(env_iid, env_markov, env_dirichlet, env_mixture):
+    # the boxes of the blocks that a level profile streams through
     for env in (env_iid, env_markov, env_dirichlet, env_mixture):
         for n in (1, 5, 9, 12):
-            prof = tl.enumerate_level(env, n, rng=rng_of(n))
-            total = sum(np.exp(-b).sum() for b in prof.per_type_boxes)
+            per_type_boxes = [-b for b in sim._enumerate_blocks(env, n, rng_of(n))]
+            total = sum(np.exp(-b).sum() for b in per_type_boxes)
             assert total == pytest.approx(1.0, abs=1e-9)
-            assert not prof.truncated
+            assert not tl.enumerate_level(env, n, rng=rng_of(n)).truncated
 
 
 def test_laplace_matches_matrix_power(env_markov):
@@ -808,7 +809,8 @@ def test_blocks_hold_the_boxes_of_the_gathered_level(name):
     for n in range(13):
         types, logs = _boxes_by_gathered_rows(env, n, rng_of(0))
         prof = tl.enumerate_level(env, n, theta_list=thetas)
-        for i, boxes in enumerate(prof.per_type_boxes):
+        for i, block in enumerate(sim._enumerate_blocks(env, n, rng_of(0))):
+            boxes = -block
             assert np.array_equal(np.sort(boxes), np.sort(-logs[types == i]))
         assert (prof.min_log_size, prof.max_log_size) == (-logs.min(), -logs.max())
         for theta in thetas:
@@ -930,6 +932,35 @@ def test_level_statistics_keep_the_stream_of_the_whole_level(name, n):
         assert np.allclose(prof.laplace[theta], laplace[theta], rtol=1e-13, atol=0.0)
         assert prof.martingale[theta] == pytest.approx(martingale[theta], rel=1e-13, abs=0.0)
     assert rng.bit_generator.state == again.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["markov", "dirichlet", "sparse-mixture"])
+def test_profile_holds_no_box_of_its_generation(name, monkeypatch):
+    # fixed rows enumerate and draw nothing; a random cascade enumerates
+    # generations up to n - 1 and draws the rows of generation n's parents
+    # at most LEVEL_CHUNK boxes per call
+    env, n = STREAM_ENVS[name](), 16
+    enumerated, streamed = [], []
+    enumerate_blocks, sample_rows = sim._enumerate_blocks, sim.sample_rows
+
+    def blocks(env, depth, rng):
+        out = enumerate_blocks(env, depth, rng)
+        enumerated.append((depth, sum(b.size for b in out)))
+        return out
+
+    def rows(env, i, rng, count):
+        if enumerated:
+            streamed.append(count)
+        return sample_rows(env, i, rng, count=count)
+
+    monkeypatch.setattr(sim, "_enumerate_blocks", blocks)
+    monkeypatch.setattr(sim, "sample_rows", rows)
+    tl.enumerate_level(env, n, theta_list=[0.5, 1.0], rng=rng_of(0))
+    if env.is_deterministic:
+        assert enumerated == [] and streamed == []
+    else:
+        assert enumerated == [(n - 1, positive_box_count(env, n - 1, 2 ** 30))]
+        assert sum(streamed) == enumerated[0][1] and max(streamed) <= sim.LEVEL_CHUNK
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_LAW_ENVS) + ["dirichlet-small-alpha"])
