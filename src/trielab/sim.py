@@ -537,10 +537,8 @@ def enumerate_level(
     box carries an independent row), and past `cap` it raises CapExceeded.
     So does a tilted sum or martingale value that leaves float64's range.
     """
-    if rng is None:
-        if not env.is_deterministic:
-            raise ValueError("random environments need an rng to realize the cascade")
-        rng = np.random.default_rng(0)
+    if rng is None and not env.is_deterministic:       # fixed rows draw nothing
+        raise ValueError("random environments need an rng to realize the cascade")
     truncated = positive_box_count(env, n, cap) > cap
     if env.is_deterministic:
         laplace = level_sums(env, n, theta_list)
