@@ -25,6 +25,7 @@ counts, and extending the replicate count leaves earlier replicates unchanged.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -287,9 +288,12 @@ def run_spectral(config: ExperimentConfig, env: EnvironmentModel):
 
 def run_profile(config: ExperimentConfig, env: EnvironmentModel):
     if env.is_deterministic:
-        # refuse sums outside float64 before the level is profiled
+        # refuse sums outside float64 before the level is profiled; fixed
+        # rows draw nothing, so no generator is built
         sim.level_sums(env, config.depth, config.theta_grid)
-    rng = _stream(config.master_seed, 0, 0)
+        rng = None
+    else:
+        rng = _stream(config.master_seed, 0, 0)
     return sim.enumerate_level(env, config.depth, theta_list=config.theta_grid,
                                cap=config.cap, rng=rng)
 
@@ -361,6 +365,8 @@ def _layout(payload):
         columns = tuple(_ROW_COLUMNS)
         rows = [tuple(getattr(r, c) for c in columns) for r in payload.rows]
         footer = [(key, getattr(payload, name)) for key, name in _FIT_FOOTER.items()]
+        if payload.prediction_note:                  # one CSV-quoted field, quotes doubled
+            footer.append(("note", '"' + payload.prediction_note.replace('"', '""') + '"'))
         doc = {**vars(payload), "rows": [dict(zip(columns, row)) for row in rows]}
     elif isinstance(payload, spectral.SpectralProfile):
         columns = ("theta", "rho", "log_rho", "drift", "psi", "phi", "f")
@@ -409,22 +415,23 @@ def emit_report(payload, path, fmt: str = "csv") -> None:
 
 def parse_report(path, fmt: str = "csv") -> ConvergenceReport:
     """Read back a converge report (round-trip partner of emit_report)."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         if fmt == "json":
             doc = json.load(fh)
             rows = [RowStat(**{k: _ROW_COLUMNS[k](v) for k, v in r.items()})
                     for r in doc.pop("rows")]
             fit = {name: float(doc.pop(name)) for name in _FIT_FOOTER.values()}
             return ConvergenceReport(rows=rows, **fit, **doc)
-        lines = fh.read().splitlines()
+        lines = list(csv.reader(fh))
     rows, fit = [], {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) == len(_ROW_COLUMNS):
-            rows.append(RowStat(*(parse(v) for parse, v in zip(_ROW_COLUMNS.values(), parts))))
+    for parts in lines[1:]:
+        key = parts[0]
+        if key == "note":
+            fit["prediction_note"] = parts[1]
+        elif key in _FIT_FOOTER:
+            fit[_FIT_FOOTER[key]] = float(parts[1])
         else:
-            key, value = parts
-            fit[_FIT_FOOTER[key]] = float(value)
+            rows.append(RowStat(*(parse(v) for parse, v in zip(_ROW_COLUMNS.values(), parts))))
     return ConvergenceReport(rows=rows, **fit)
 
 

@@ -30,10 +30,11 @@ Level enumeration keeps a generation as K blocks of ln masses, one per type,
 each drawing its rows in one sample_rows call.  A level profile holds no box
 of generation n: fixed rows take its tilted sums as the first row of
 M(theta)^n, by squaring in log space, and its extremes by max-plus steps; a
-random cascade holds generation n - 1 and reduces generation n piece by
-piece, drawing the rows of LEVEL_CHUNK parent boxes at a time in the order
-one call per block would draw them.  A size-biased walk takes one row and
-one uniform per step.
+random cascade is expanded breadth-first to the first generation of
+LEVEL_CHUNK boxes, then depth-first in pieces of at most LEVEL_CHUNK
+boxes of one type, one sample_rows call per piece, and reduces generation n
+piece by piece, in O((n (K - 1) + K) LEVEL_CHUNK) memory at any depth.  A
+size-biased walk takes one row and one uniform per step.
 
 Every box draws its own row, so a box of type i holding c balls roots an
 independent subtree whose height law depends on (i, c) alone (the height
@@ -61,7 +62,7 @@ from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegim
 DEFAULT_DEPTH_CAP = 10_000
 COUPON_BOX_CAP = 1_000_000
 C0 = 160                  # largest ball count a height run resolves from tables
-LEVEL_CHUNK = 2 ** 14     # parent boxes per sample_rows call of a streamed last generation
+LEVEL_CHUNK = 2 ** 14     # boxes past which a random profile goes depth-first, in smaller pieces
 _LN2 = math.log(2.0)
 _POISSON_LAM_MAX = _INT64_MAX - 10 * math.sqrt(_INT64_MAX)   # numpy's Generator.poisson limit
 
@@ -83,8 +84,9 @@ class LevelProfile:
     """Exact box statistics of one generation (one realization if random).
 
     per_type_boxes holds K empty arrays: no per-box data of the generation
-    is kept.  The field stays for readers that take its lengths
-    (perfbench/spans.py).
+    is kept, and a random one is realized in pieces of at most
+    sim.LEVEL_CHUNK boxes.  The field stays for readers that take its
+    lengths (perfbench/spans.py).
     truncated says the generation has more than `cap` positive boxes.
     min_log_size / max_log_size are -ln of the smallest / largest box mass.
     window_counts[(theta, a, b)] counts boxes with ln(l) in
@@ -384,30 +386,40 @@ def positive_box_count(env: EnvironmentModel, n: int, cap: int) -> int:
     return min(counts[min(n, len(counts) - 1)], min(cap, _INT64_MAX) + 1)
 
 
+def _root_blocks(env):
+    """Generation 0 as K blocks of ln masses: the root, of type 1."""
+    return [np.zeros(1)] + [np.empty(0)] * (env.K - 1)
+
+
+def _next_blocks(env, blocks, rng):
+    """The generation below `blocks`, as K blocks of ln masses.
+
+    Block i draws its rows in one sample_rows call (a fixed row serves the
+    whole block), and each supported column k writes the block's ln masses
+    plus the rows' ln entries in column k into the next stretch of child
+    block k, allocated once at its exact size.
+    """
+    sizes = env.support.T @ [b.size for b in blocks]
+    children = [np.empty(size) for size in sizes.tolist()]
+    used = [0] * env.K
+    with np.errstate(divide="ignore"):               # ln 0 off the support, never read
+        for i, block in enumerate(blocks):
+            if block.size:
+                ln_rows = sample_rows(env, i, rng, count=block.size)
+                np.log(ln_rows, out=ln_rows)
+                for k in env.supported_cols[i]:
+                    end = used[k] + block.size
+                    np.add(block, ln_rows[:, k], out=children[k][used[k]:end])
+                    used[k] = end
+    return children
+
+
 def _enumerate_blocks(env, n, rng):
     """All generation-n boxes as K blocks of ln masses, block i holding the
-    boxes of type i+1; one realization if random.
-
-    Each level, block i draws its rows in one sample_rows call (a fixed row
-    serves the whole block), and each supported column k writes the block's
-    ln masses plus the rows' ln entries in column k into the next stretch of
-    child block k, allocated once at its exact size.
-    """
-    blocks = [np.zeros(1)] + [np.empty(0)] * (env.K - 1)
-    with np.errstate(divide="ignore"):               # ln 0 off the support, never read
-        for _ in range(n):
-            sizes = env.support.T @ [b.size for b in blocks]
-            children = [np.empty(size) for size in sizes.tolist()]
-            used = [0] * env.K
-            for i, block in enumerate(blocks):
-                if block.size:
-                    ln_rows = sample_rows(env, i, rng, count=block.size)
-                    np.log(ln_rows, out=ln_rows)
-                    for k in env.supported_cols[i]:
-                        end = used[k] + block.size
-                        np.add(block, ln_rows[:, k], out=children[k][used[k]:end])
-                        used[k] = end
-            blocks = children
+    boxes of type i+1; one realization if random."""
+    blocks = _root_blocks(env)
+    for _ in range(n):
+        blocks = _next_blocks(env, blocks, rng)
     return blocks
 
 
@@ -479,22 +491,33 @@ def _level_pieces(env, n, rng):
     """Generation n piece by piece, never held whole: (cols, logs) pieces,
     logs[r] the ln masses of children of type cols[r] + 1.
 
-    Generations 0..n-1 come from _enumerate_blocks.  Each block of
-    generation n - 1 then draws its rows LEVEL_CHUNK boxes at a time, in
-    block order: numpy's dirichlet and uniform draws of N rows equal draws
-    of N1 and N - N1 rows in turn, so the ln masses and the generator state
-    afterwards are those of one sample_rows call per block.
+    Breadth-first (_next_blocks) down to generation n - 1, or to the first
+    generation of LEVEL_CHUNK boxes or more, whose blocks hold at most
+    LEVEL_CHUNK boxes each (a box has at most one child of each type).  From
+    there depth-first, by a stack of pieces of one type: a piece draws its
+    rows in one sample_rows call, and its children form one piece per
+    supported column, of its own size.  So the stack holds at most K - 1
+    pieces per generation below that one, plus its K blocks.  While
+    generation n - 2 holds fewer than LEVEL_CHUNK boxes, each block of
+    generation n - 1 is one piece, drawn in block order as one
+    _enumerate_blocks step would draw it.
     """
     if n == 0:
         yield np.zeros(1, dtype=np.int64), np.zeros((1, 1))
         return
-    for i, block in enumerate(_enumerate_blocks(env, n - 1, rng)):
+    blocks, depth = _root_blocks(env), 0
+    while depth < n - 1 and sum(b.size for b in blocks) < LEVEL_CHUNK:
+        blocks, depth = _next_blocks(env, blocks, rng), depth + 1
+    stack = [(depth, i, blocks[i]) for i in reversed(range(env.K)) if blocks[i].size]
+    while stack:
+        depth, i, part = stack.pop()
         cols = env.supported_cols[i]
-        for start in range(0, block.size, LEVEL_CHUNK):
-            part = block[start:start + LEVEL_CHUNK]
-            with np.errstate(divide="ignore"):           # ln 0 off the support, never read
-                ln_rows = np.log(sample_rows(env, i, rng, count=part.size))
+        with np.errstate(divide="ignore"):           # ln 0 off the support, never read
+            ln_rows = np.log(sample_rows(env, i, rng, count=part.size))
+        if depth + 1 == n:
             yield cols, ln_rows.T[cols] + part
+        else:
+            stack.extend((depth + 1, k, part + ln_rows[:, k]) for k in cols[::-1])
 
 
 def _streamed_statistics(env, n, thetas, windows, rng):
@@ -533,9 +556,12 @@ def enumerate_level(
     from level_sums (log-space squaring) and the extremes from max-plus
     steps, at any depth; their window counts stream the level, and stay
     empty past `cap` positive boxes (truncated=True).  A random environment
-    streams the level (_streamed_statistics); it cannot be pruned (every
-    box carries an independent row), and past `cap` it raises CapExceeded.
-    So does a tilted sum or martingale value that leaves float64's range.
+    streams the level (_streamed_statistics), depth-first in pieces below
+    the first generation of LEVEL_CHUNK boxes, so it holds
+    O((n (K - 1) + K) LEVEL_CHUNK) ln masses however deep; it cannot be
+    pruned (every box carries an independent row), and past `cap` boxes
+    realized it raises CapExceeded.  So does a tilted sum or martingale
+    value that leaves float64's range.
     """
     if rng is None and not env.is_deterministic:       # fixed rows draw nothing
         raise ValueError("random environments need an rng to realize the cascade")
@@ -623,9 +649,9 @@ def coupon_time(
         raise CapExceeded(f"more than {COUPON_BOX_CAP} boxes at generation {n}")
     logs = _fixed_level_logs(env, n) if env.is_deterministic else _level_logs(env, n, rng)
     log_tau = np.log(rng.standard_gamma(j, size=logs.shape[0])) - logs
-    last = int(np.argmax(log_tau))
-    log_p, gap = np.delete(logs, last), np.delete(log_tau, last) - log_tau[last]
-    lam = np.exp(log_p + log_tau[last] + np.log1p(-np.exp(gap)))   # p_i (T - tau_i)
+    top = log_tau.max()
+    with np.errstate(divide="ignore"):                  # the box filled last: ln 0, lam 0
+        lam = np.exp(logs + top + np.log1p(-np.exp(log_tau - top)))   # p_i (T - tau_i)
     drawable = (lam <= _POISSON_LAM_MAX).all()          # False on inf and nan too
     throws = j * logs.shape[0] + sum(rng.poisson(lam).tolist()) if drawable else math.inf
     if throws > _INT64_MAX:

@@ -128,6 +128,18 @@ def test_report_roundtrip_csv(tmp_path):
     assert back.relative_gap == rep.relative_gap
 
 
+def test_report_roundtrip_csv_keeps_the_note(tmp_path):
+    # a last footer line, one CSV-quoted field: commas, quotes and a newline
+    path = tmp_path / "r.csv"
+    note = 'OutsideRegime: no "j", here,\nor there'
+    rep = sample_report()
+    rep.prediction_note = note
+    emit_report(rep, str(path), "csv")
+    assert path.read_text().splitlines()[-2:] == ['note,"OutsideRegime: no ""j"", here,',
+                                                  'or there"']
+    assert parse_report(str(path), "csv") == rep
+
+
 def test_report_roundtrip_json(tmp_path):
     path = tmp_path / "r.json"
     rep = sample_report()
@@ -200,6 +212,23 @@ def test_converge_leaves_numpy_ma_unloaded(tmp_path, iid_env_file):
     code = ("import sys\nfrom trielab.cli import main\n"
             f"assert main({args!r}) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_fixed_row_profile_leaves_numpy_random_unloaded(tmp_path, iid_env_file):
+    # fixed rows draw nothing, so a profile builds no generator and skips
+    # numpy.random's lazy import
+    src = str(Path(tl.__file__).resolve().parents[1])
+    args = ["profile", "--env", iid_env_file, "--depth", "20", "--theta-grid=-1:2:4",
+            "--out", str(tmp_path / "p.csv")]
+    code = ("import sys\nfrom trielab.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -539,6 +568,9 @@ def test_exit_code_prediction_gap_writes_report(tmp_path, iid_env_file):
     rep = parse_report(str(out))
     assert math.isnan(rep.predicted)
     assert rep.fitted_slope > 0
+    # the CSV report keeps the note the exit code reports
+    assert rep.prediction_note.startswith("ConditionsNotMet: ")
+    assert err.splitlines()[-1] == f"error: PredictionUnavailable: {rep.prediction_note}"
 
 
 def test_exit_code_cap_exceeded(tmp_path, iid_env_file):

@@ -59,7 +59,7 @@ RUNS = {
 
 DIGESTS = {
     "converge-crossed-j1.csv":
-        "9a3a5202358a08b6bd91888e93214a0fb7a3cf743c0f46edb1cc89b31c6b2512",
+        "9c06d8ed604acb09691bd7dc9456c78cec14e679b086db6c9b50667b26e6a515",
     "converge-crossed-j1.json":
         "29041f159d692527f642478cabb22692b02b3f81742429dd172ae0a14e53f931",
     "converge-mixture-j1.csv":

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -912,10 +913,24 @@ STREAM_ENVS = {
 }
 
 
-# depth 15 on the sparse K = 3 supports: the parent blocks of generation 14
-# hold 29213, 36428 and 52640 boxes, past one or more 2^14-row chunks
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 13, 15])
-@pytest.mark.parametrize("name", sorted(STREAM_ENVS))
+def _draws_in_block_order(env, n):
+    """Whether a random profile of generation n expands breadth-first down
+    to generation n - 1, and so draws the rows of one block per call in
+    block order, as the whole-level enumeration does; fixed rows draw
+    nothing."""
+    return (env.is_deterministic or n < 2
+            or positive_box_count(env, n - 2, sim.LEVEL_CHUNK) < sim.LEVEL_CHUNK)
+
+
+# depth 15 on the sparse K = 3 supports: generation 13 holds more than
+# LEVEL_CHUNK boxes, so the random ones run depth-first below it, in a new
+# order (test_depth_first_pieces_keep_the_law_of_the_whole_level); the fixed
+# rows' window counts still cover the level
+STREAM_CASES = [(name, n) for name in sorted(STREAM_ENVS) for n in (0, 1, 2, 7, 13, 15)
+                if _draws_in_block_order(STREAM_ENVS[name](), n)]
+
+
+@pytest.mark.parametrize("name,n", STREAM_CASES)
 def test_level_statistics_keep_the_stream_of_the_whole_level(name, n):
     # the same extremes bit for bit, the same window counts and generator
     # state after the level; the sums differ by summation order alone
@@ -934,33 +949,97 @@ def test_level_statistics_keep_the_stream_of_the_whole_level(name, n):
     assert rng.bit_generator.state == again.bit_generator.state
 
 
+@pytest.mark.parametrize("name", sorted(LEVEL_LAW_ENVS) + ["dirichlet-small-alpha"])
+def test_depth_first_pieces_keep_the_law_of_the_whole_level(name, monkeypatch):
+    # 16-box pieces: generation 8 is reached depth-first from generation 4
+    # (K = 2) or 3 (sparse K = 3); the extremes, a per-type tilted sum and a
+    # window count of one realization against the whole-level enumeration,
+    # four statistics at a family-wise level of 0.001
+    monkeypatch.setattr(sim, "LEVEL_CHUNK", 16)
+    env = STREAM_ENVS[name]()
+    n, runs = 8, 600
+    assert not _draws_in_block_order(env, n)
+    seed = sorted(STREAM_ENVS).index(name)
+    window = (1.0, 1.0, -1.0)
+
+    def profiled(rng):
+        prof = tl.enumerate_level(env, n, theta_list=[2.0], windows=[window], rng=rng)
+        return (prof.min_log_size, prof.max_log_size, prof.laplace[2.0][0],
+                prof.window_counts[window])
+
+    def whole(rng):
+        lo, hi, laplace, _, counts = _enumerate_level_whole(
+            env, n, theta_list=[2.0], windows=[window], rng=rng)
+        return lo, hi, laplace[2.0][0], counts[window]
+
+    new = np.array([profiled(rng_of((1, seed, k))) for k in range(runs)])
+    old = np.array([whole(rng_of((2, seed, k))) for k in range(runs)])
+    for column in range(new.shape[1]):
+        # at small alpha some mass underflows to 0 in every run: min is inf on both sides
+        pooled = np.unique(np.concatenate([new[:, column], old[:, column]]))
+        assert (pooled.size == 1
+                or _same_law_p(new[:, column], old[:, column]) > 0.001 / new.shape[1]), column
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+@pytest.mark.parametrize("name", ["markov", "sparse3"])
+def test_fixed_pieces_cover_the_level(name, chunk, monkeypatch):
+    # fixed rows, breadth-first and then depth-first: per type, the ln
+    # masses of the pieces are those of the enumerated level, bit for bit
+    monkeypatch.setattr(sim, "LEVEL_CHUNK", chunk)
+    env = STREAM_ENVS[name]()
+    for n in range(11):
+        pieces = [[] for _ in range(env.K)]
+        for cols, logs in sim._level_pieces(env, n, None):
+            for k, row in zip(cols, logs):
+                pieces[k].append(row)
+        for k, block in enumerate(sim._enumerate_blocks(env, n, None)):
+            got = np.concatenate(pieces[k]) if pieces[k] else np.empty(0)
+            assert np.array_equal(np.sort(got), np.sort(block)), (n, k)
+
+
 @pytest.mark.parametrize("name", ["markov", "dirichlet", "sparse-mixture"])
 def test_profile_holds_no_box_of_its_generation(name, monkeypatch):
-    # fixed rows enumerate and draw nothing; a random cascade enumerates
-    # generations up to n - 1 and draws the rows of generation n's parents
-    # at most LEVEL_CHUNK boxes per call
+    # fixed rows enumerate and draw nothing; a random cascade enumerates no
+    # whole level, draws one row per box of generations 0..n-1, and at most
+    # LEVEL_CHUNK rows per call
     env, n = STREAM_ENVS[name](), 16
     enumerated, streamed = [], []
     enumerate_blocks, sample_rows = sim._enumerate_blocks, sim.sample_rows
 
     def blocks(env, depth, rng):
-        out = enumerate_blocks(env, depth, rng)
-        enumerated.append((depth, sum(b.size for b in out)))
-        return out
+        enumerated.append(depth)
+        return enumerate_blocks(env, depth, rng)
 
     def rows(env, i, rng, count):
-        if enumerated:
-            streamed.append(count)
+        streamed.append(count)
         return sample_rows(env, i, rng, count=count)
 
     monkeypatch.setattr(sim, "_enumerate_blocks", blocks)
     monkeypatch.setattr(sim, "sample_rows", rows)
     tl.enumerate_level(env, n, theta_list=[0.5, 1.0], rng=rng_of(0))
+    assert enumerated == []
     if env.is_deterministic:
-        assert enumerated == [] and streamed == []
+        assert streamed == []
     else:
-        assert enumerated == [(n - 1, positive_box_count(env, n - 1, 2 ** 30))]
-        assert sum(streamed) == enumerated[0][1] and max(streamed) <= sim.LEVEL_CHUNK
+        assert sum(streamed) == sum(positive_box_count(env, d, 2 ** 30) for d in range(n))
+        assert max(streamed) <= sim.LEVEL_CHUNK
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_random_profile_memory_does_not_grow_with_depth(n):
+    # uniform Dirichlet scenery: 2^20 and 2^22 boxes realized, a traced
+    # peak under 2 MB at either depth (a whole generation n - 1 is 4 and
+    # 16 MB)
+    env = STREAM_ENVS["dirichlet"]()
+    tl.enumerate_level(env, 4, theta_list=[1.0], rng=rng_of(0))     # warm the caches
+    tracemalloc.start()
+    try:
+        tl.enumerate_level(env, n, theta_list=[-0.5, 1.0, 2.5], cap=2 ** n, rng=rng_of(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_LAW_ENVS) + ["dirichlet-small-alpha"])
@@ -1074,7 +1153,8 @@ def test_coupon_minimum_throws(env_markov):
 
 
 def _coupon_by_fresh_enumeration(env, n, j, rng):
-    """coupon_time as it stood when every replicate enumerated its level."""
+    """coupon_time as it stood when every replicate enumerated its level and
+    the box filled last was deleted from the Poisson means."""
     logs = np.concatenate(sim._enumerate_blocks(env, n, rng))
     logs -= np.logaddexp.reduce(logs)
     log_tau = np.log(rng.standard_gamma(j, size=logs.shape[0])) - logs
@@ -1099,6 +1179,20 @@ def test_fixed_coupon_levels_are_enumerated_once(name, n, j):
     logs = sim._fixed_level_logs(env, n)
     assert not logs.flags.writeable
     assert sim._fixed_level_logs(tl.deterministic_env(env.rows.tolist()), n) is logs
+
+
+@pytest.mark.parametrize("name,n,j", [("markov", 0, 2), ("sparse3", 4, 1), ("dirichlet", 0, 1),
+                                      ("dirichlet", 6, 2), ("mixture", 5, 1),
+                                      ("sparse-dirichlet", 3, 3), ("sparse-mixture", 4, 1)])
+def test_coupon_throws_keep_the_formula_without_the_last_box(name, n, j):
+    # the box filled last takes Poisson mean 0, which draws nothing: the
+    # throws and the generator state of the formula that deletes that box
+    env = STREAM_ENVS[name]()
+    rng, again = rng_of((n, j)), rng_of((n, j))
+    for _ in range(20):
+        assert tl.coupon_time(env, n, j, rng).throws == _coupon_by_fresh_enumeration(
+            env, n, j, again)
+        assert rng.bit_generator.state == again.bit_generator.state
 
 
 def _thrown_coupon_time(logs, j, rng):
@@ -1134,8 +1228,8 @@ COUPON_ENVS = {
 @pytest.mark.parametrize("kind", sorted(COUPON_ENVS))
 @pytest.mark.parametrize("j", [1, 2])
 def test_coupon_sampler_matches_the_thrower(kind, j):
-    # deciles of the pooled throw counts as cells; the sampler must take no
-    # log of zero, so the box that fills last gets no Poisson mean
+    # deciles of the pooled throw counts as cells; the sampler raises no
+    # floating-point error: the box that fills last gets Poisson mean 0
     env = COUPON_ENVS[kind]()
     n, runs = 3, 1500
     seed = (j, sorted(COUPON_ENVS).index(kind))
