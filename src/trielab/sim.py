@@ -62,7 +62,7 @@ from .errors import CapExceeded, DepthCapExceeded, HeightUndefined, OutsideRegim
 DEFAULT_DEPTH_CAP = 10_000
 COUPON_BOX_CAP = 1_000_000
 C0 = 160                  # largest ball count a height run resolves from tables
-LEVEL_CHUNK = 2 ** 14     # boxes past which a random profile goes depth-first, in smaller pieces
+LEVEL_CHUNK = 2 ** 14     # a random profile goes depth-first from the first generation this large
 _LN2 = math.log(2.0)
 _POISSON_LAM_MAX = _INT64_MAX - 10 * math.sqrt(_INT64_MAX)   # numpy's Generator.poisson limit
 
