@@ -18,6 +18,18 @@ ENVS = {
     "mixture": ("kind = mixture\nK = 2\nweights = 0.5 0.5\n"
                 "comp.1.row.1 = 0.5 0.5\ncomp.1.row.2 = 0.5 0.5\n"
                 "comp.2.row.1 = 0.9 0.1\ncomp.2.row.2 = 0.9 0.1\n"),
+    # rows 0.1 + Dirichlet(2, ..., 2), normalized (drawn once from seed 5)
+    "markov5": ("kind = deterministic\nK = 5\n"
+                "row.1 = 0.1289307323877242 0.16903463079437608 0.33683650679373855 "
+                "0.14535713166240968 0.2198409983617516\n"
+                "row.2 = 0.1443316687542516 0.2790377051504044 0.23731742356498217 "
+                "0.1737090577722475 0.16560414475811425\n"
+                "row.3 = 0.2644812084139027 0.347628521525195 0.1063318609803962 "
+                "0.15320719857930953 0.12835121050119658\n"
+                "row.4 = 0.1930426860008564 0.11718127365353748 0.1148886358862805 "
+                "0.2208288492187748 0.35405855524055085\n"
+                "row.5 = 0.08430621553704996 0.12360474931102113 0.22739802733678252 "
+                "0.19564441902663124 0.3690465887885152\n"),
     "sparse3": "kind = deterministic\nK = 3\nrow.1 = 0.5 0.3 0.2\nrow.2 = 0.6 0 0.4\nrow.3 = 0 0.7 0.3\n",
     # no saturation prediction: a converge at j = 1 writes its report and exits 4
     "crossed": ("kind = mixture\nK = 2\nweights = 0.5 0.5\n"
@@ -27,8 +39,12 @@ ENVS = {
 
 SIMULATE = ["simulate", "--m-grid=64:8:4", "--reps=3", "--seed=7"]
 CONVERGE = ["converge", "--j=1", "--m-grid=64:4:4", "--reps=5", "--seed=8"]
+# 33-point grids through theta = 0 on the mixture and on K = 5: the cases
+# where a drift taken in another order changes the last bits
 SPECTRAL = {"markov": ["spectral", "--theta-grid=-1:3:5"],
-            "dirichlet": ["spectral", "--theta-grid=0.5:3:4"]}
+            "dirichlet": ["spectral", "--theta-grid=0.5:3:4"],
+            "mixture": ["spectral", "--theta-grid=-2:6:33"],
+            "markov5": ["spectral", "--theta-grid=-2:6:33"]}
 # name: (environment, arguments, exit code)
 RUNS = {
     **{f"simulate-{env}-j{j}.csv": (env, SIMULATE + [f"--j={j}"], 0)
@@ -108,6 +124,14 @@ DIGESTS = {
         "bd3112219eee1ee913755f044b44e7fc52ad6b1d8aba1be5c0a2f11f8c7eb4b6",
     "simulate-sparse3-j2.csv":
         "f87691550c11a4eae10587f4e3c726e9d6548ea633fe34313f58171eb35eb23a",
+    "spectral-markov5.csv":
+        "0d55d661f199e6eafa3f9ae28714915247f3e95c6afbd9e3a0a5d89c01b099f5",
+    "spectral-markov5.json":
+        "79111f1abe2caa17da3f387ffa0b415cefe28d1997205bd6677d771cc8541d61",
+    "spectral-mixture.csv":
+        "baa9620712ed02598abfa35263fa3ee774844702448a1a5e523d938be3729b3b",
+    "spectral-mixture.json":
+        "8c4d82c6e8f30685e65e1aca849de883072f4de407b9ee9386079f5089739cd5",
     "spectral-dirichlet.csv":
         "4505177bbe71fb77d862933da48106683ad0827714e2b45876fe6836d06ace64",
     "spectral-dirichlet.json":
