@@ -105,8 +105,8 @@ class ExperimentConfig:
         if self.cap < 1:
             raise ConfigError(f"--cap must be >= 1, got {self.cap}")
         if self.cap * 8 > LEVEL_BYTES:
-            raise CapExceeded(f"--cap {self.cap} admits that many float64 box masses, past "
-                              f"the {LEVEL_BYTES} byte budget")
+            raise CapExceeded(f"--cap {self.cap} admits a random profile that realizes that "
+                              f"many boxes, past the limit of {LEVEL_BYTES // 8}")
         runs = self.replicates * (len(self.m_grid) if self.mode in ("simulate", "converge") else 1)
         if runs * RUN_BYTES > LEVEL_BYTES:
             raise CapExceeded(f"--reps {self.replicates} makes {runs} runs of {RUN_BYTES} bytes "

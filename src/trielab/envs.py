@@ -71,7 +71,10 @@ class EnvironmentModel:
     def is_deterministic(self) -> bool:
         return self.kind == DETERMINISTIC
 
-    def _payload_bytes(self) -> bytes:
+    @cached_property
+    def _payload(self) -> bytes:
+        """The key of equality and hashing, built once: kind, K, support and
+        payload arrays as bytes (the arrays are read-only)."""
         parts = [self.kind.encode(), self.K.to_bytes(4, "little"), self.support.tobytes()]
         for arr in (self.rows, self.alpha, self.weights, self.comps):
             parts.append(b"." if arr is None else arr.tobytes())
@@ -80,19 +83,27 @@ class EnvironmentModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnvironmentModel):
             return NotImplemented
-        return self._payload_bytes() == other._payload_bytes()
+        return self._payload == other._payload
 
     def __hash__(self) -> int:
-        return hash(self._payload_bytes())
+        return hash(self._payload)
 
     @cached_property
     def _dirichlet_terms(self) -> tuple:
-        """The theta-free parts of Dirichlet log moments, taken once: the row
-        of each supported entry (row-major), its alpha, the row sums a0, and
-        lgamma(a0) per entry and lgamma(alpha)."""
+        """The theta-free parts of Dirichlet log moments, taken once: the
+        Gamma arguments at theta = 0 (the alpha of each supported entry,
+        row-major, then the row sums a0), the index of each entry's row sum
+        among them, and lgamma(a0) per entry and lgamma(alpha)."""
         rows = np.nonzero(self.support)[0]
         a, a0 = self.alpha[self.support], self.alpha.sum(axis=1)
-        return rows, a, a0, _lgamma(a0)[rows], _lgamma(a)
+        return np.concatenate([a, a0]), a.size + rows, _lgamma(a0)[rows], _lgamma(a)
+
+    @cached_property
+    def _log_rows(self) -> np.ndarray:
+        """ln of the fixed rows (deterministic) or of the mixture components,
+        taken once; 0 off the support, so a tilt times it stays finite."""
+        rows = self.rows if self.kind == DETERMINISTIC else self.comps
+        return np.log(np.where(rows > 0, rows, 1.0))
 
     @cached_property
     def _mixture_cdf(self) -> np.ndarray:
@@ -291,19 +302,24 @@ def check_saturation_conditions(env: EnvironmentModel) -> SaturationCheck:
 # tilted moments
 # --------------------------------------------------------------------------
 
-def _require_in_domain(env: EnvironmentModel, theta: float) -> None:
-    if not (env.domain_lo < theta < env.domain_hi):
-        entry = None
-        if env.kind == DIRICHLET:
-            a = np.where(env.support, env.alpha, np.inf)
-            i, j = np.unravel_index(int(np.argmin(a)), a.shape)
-            entry = (int(i) + 1, int(j) + 1)
-        raise ThetaOutOfDomain(
-            f"theta = {theta!r} outside the finite-moment domain "
-            f"({env.domain_lo!r}, {env.domain_hi!r})"
-            + (f"; entry {entry} diverges first" if entry else ""),
-            entry=entry,
-        )
+def _tilts(env: EnvironmentModel, theta: np.ndarray) -> np.ndarray:
+    """theta, a 0-d or 1-D float array, as a 1-D array of tilts; refuses the
+    first tilt outside the finite-moment domain."""
+    thetas = theta.reshape(-1)
+    for t in thetas.tolist():
+        if not (env.domain_lo < t < env.domain_hi):
+            entry = None
+            if env.kind == DIRICHLET:
+                a = np.where(env.support, env.alpha, np.inf)
+                i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+                entry = (int(i) + 1, int(j) + 1)
+            raise ThetaOutOfDomain(
+                f"theta = {t!r} outside the finite-moment domain "
+                f"({env.domain_lo!r}, {env.domain_hi!r})"
+                + (f"; entry {entry} diverges first" if entry else ""),
+                entry=entry,
+            )
+    return thetas
 
 
 # B_2k / (2k) for k = 1..7: psi's asymptotic series in 1/y^2k
@@ -321,49 +337,55 @@ def _digamma(x: np.ndarray) -> np.ndarray:
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.array([math.lgamma(v) for v in x.tolist()])
+    return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def log_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
-    """ln m_ij(theta) on supported entries, -inf elsewhere."""
-    _require_in_domain(env, theta)
-    K = env.K
-    out = np.full((K, K), -np.inf)
+def _mixture_terms(env: EnvironmentModel, thetas: np.ndarray) -> tuple:
+    """Per tilt, the terms theta ln p^(c) + ln q_c of the components, shifted
+    by the largest: (shift, scaled), scaled = exp(terms - shift) of shape
+    (n, M, K, K)."""
+    expo = thetas[:, None, None, None] * env._log_rows + np.log(env.weights)[:, None, None]
+    shift = expo.max(axis=1)
+    return shift, np.exp(expo - shift[:, None])
+
+
+def log_moment_matrix(env: EnvironmentModel, theta) -> np.ndarray:
+    """ln m_ij(theta) on supported entries, -inf elsewhere: a K x K matrix, or
+    for a 1-D array of n tilts an (n, K, K) stack, each matrix equal to the
+    last bit to the one its tilt alone gives."""
+    theta = np.asarray(theta, dtype=float)
+    thetas = _tilts(env, theta)
     sup = env.support
     if env.kind == DETERMINISTIC:
-        out[sup] = theta * np.log(env.rows[sup])
+        out = np.where(sup, thetas[:, None, None] * env._log_rows, -np.inf)
     elif env.kind == DIRICHLET:
-        rows, a, a0, g0, g = env._dirichlet_terms
-        out[sup] = g0 + _lgamma(a + theta) - _lgamma(a0 + theta)[rows] - g
+        args, row_sum, g0, g = env._dirichlet_terms
+        lg = _lgamma(args + thetas[:, None])
+        out = np.full((thetas.size, env.K, env.K), -np.inf)
+        out[:, sup] = g0 + lg[:, :g.size] - lg[:, row_sum] - g
     else:
-        # unsupported entries get a finite placeholder and are masked out below
-        logp = np.log(np.where(env.comps > 0, env.comps, 1.0))
-        expo = theta * logp + np.log(env.weights)[:, None, None]
-        shift = expo.max(axis=0)
-        out[sup] = (shift + np.log(np.exp(expo - shift[None]).sum(axis=0)))[sup]
-    return out
+        shift, scaled = _mixture_terms(env, thetas)
+        out = np.where(sup, shift + np.log(scaled.sum(axis=1)), -np.inf)
+    return out if theta.ndim else out[0]
 
 
-def dlog_moment_matrix(env: EnvironmentModel, theta: float) -> np.ndarray:
-    """d/dtheta of ln m_ij(theta) on supported entries, 0 elsewhere."""
-    _require_in_domain(env, theta)
-    K = env.K
-    out = np.zeros((K, K))
-    sup = env.support
+def dlog_moment_matrix(env: EnvironmentModel, theta) -> np.ndarray:
+    """d/dtheta of ln m_ij(theta) on supported entries, 0 elsewhere; stacked
+    over a 1-D array of tilts as log_moment_matrix is."""
+    theta = np.asarray(theta, dtype=float)
+    thetas = _tilts(env, theta)
     if env.kind == DETERMINISTIC:
-        out[sup] = np.log(env.rows[sup])
+        out = np.repeat(env._log_rows[None], thetas.size, axis=0)
     elif env.kind == DIRICHLET:
-        rows, a, a0, _, _ = env._dirichlet_terms
-        psi = _digamma(np.concatenate([a + theta, a0 + theta]))
-        out[sup] = psi[:a.size] - psi[a.size:][rows]
+        args, row_sum, _, g = env._dirichlet_terms
+        psi = _digamma(args + thetas[:, None])
+        out = np.zeros((thetas.size, env.K, env.K))
+        out[:, env.support] = psi[:, :g.size] - psi[:, row_sum]
     else:
-        logp = np.log(np.where(env.comps > 0, env.comps, 1.0))
-        expo = theta * logp + np.log(env.weights)[:, None, None]
-        shift = expo.max(axis=0)
-        scaled = np.exp(expo - shift[None])
-        num = (scaled * logp).sum(axis=0)
-        out[sup] = (num / scaled.sum(axis=0))[sup]
-    return out
+        # ln p is 0 off the support, and so is the weighted mean of it there
+        _, scaled = _mixture_terms(env, thetas)
+        out = (scaled * env._log_rows).sum(axis=1) / scaled.sum(axis=1)
+    return out if theta.ndim else out[0]
 
 
 # --------------------------------------------------------------------------

@@ -16,10 +16,12 @@ and the decay constants of the extreme boxes,
 whose one-sided limits give the smallest-box constant (saturation levels) and
 the largest-box constant (heights in the large-threshold regime).
 
-Internally every evaluation is one dense eigen-solve of a rescaled matrix
-B = exp(L' - s) and of its transpose, with L' a diagonal similarity of
-L = (ln m_ij) that levels the dominant cycles and s = max L', so that
-extreme tilts neither overflow nor underflow; log rho = s + log rho(B).
+Internally every tilt is evaluated on a rescaled matrix B = exp(L' - s),
+with L' a diagonal similarity of L = (ln m_ij) that levels the dominant
+cycles and s = max L', so that extreme tilts neither overflow nor underflow;
+log rho = s + log rho(B).  An evaluation takes a stack of tilts, at most
+_TILT_CHUNK of them, and makes one dense eigen-solve call over every B of
+the stack and every transpose; a single tilt is the one-point stack.
 The one-sided limits of c(theta) are exact: extreme mean cycles of the
 log-entries, from max-plus matrix powers.  So are the limits f(+-inf), from
 the Perron root of the critical cycles' weights; with them and the convexity
@@ -47,6 +49,7 @@ from .errors import (
 _ROOT_XTOL = 1e-10
 _BRACKET_STEPS = 64       # root brackets walk out to |theta| = 2^63
 _TIE_TOL = 1e-12          # log-scale ties: cycle means, drift limits, f(+-inf) vs 0
+_TILT_CHUNK = 128         # tilts per stacked evaluation: bounds its arrays at any grid length
 
 
 @dataclass(frozen=True)
@@ -104,20 +107,25 @@ class SpectralProfile:
 # eigen-solver
 # --------------------------------------------------------------------------
 
-def _perron(B: np.ndarray) -> tuple:
-    """(rho, v, w) of a nonnegative primitive matrix B, w.v = 1, ||v||_1 = 1.
+def _perron(B: np.ndarray) -> list:
+    """(rho, v, w) of each nonnegative primitive matrix of an (n, K, K) stack,
+    w.v = 1, ||v||_1 = 1.
 
-    One dense eigen-solve of B and one of B^T; the Perron root is the
-    eigenvalue with the largest real part.  Scaling v to sum 1 and w to
-    w.v = 1 also fixes their signs.
+    One dense eigen-solve call over the 2n matrices of B and B^T; the Perron
+    root is the eigenvalue with the largest real part.  Scaling v to sum 1
+    and w to w.v = 1 also fixes their signs.  Each point is normalized on
+    its own, so its triplet is the one of its matrix alone, to the last bit.
     """
-    vals, vecs = np.linalg.eig(B)
-    k = int(np.argmax(vals.real))
-    v = vecs[:, k].real
-    v = v / v.sum()
-    vals_t, vecs_t = np.linalg.eig(B.T)
-    w = vecs_t[:, int(np.argmax(vals_t.real))].real
-    return float(vals[k].real), v, w / (w @ v)
+    n = B.shape[0]
+    vals, vecs = np.linalg.eig(np.concatenate([B, B.transpose(0, 2, 1)]))
+    ks = vals.real.argmax(axis=1).tolist()
+    out = []
+    for i in range(n):
+        v = vecs[i, :, ks[i]].real
+        v = v / v.sum()
+        w = vecs[n + i, :, ks[n + i]].real
+        out.append((float(vals[i, ks[i]].real), v, w / (w @ v)))
+    return out
 
 
 def _maxplus(P: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -171,9 +179,11 @@ def _critical(env: EnvironmentModel, sign: int) -> tuple:
     return lam, plus[:, int(np.argmax(np.diag(plus)))], f_end
 
 
-def _eval(env: EnvironmentModel, theta: float) -> tuple:
+def _eval(env: EnvironmentModel, theta) -> tuple:
     """(log rho, drift) at theta; drift = rho'/rho by the perturbation identity.
 
+    theta is one tilt, or a 1-D array of at most _TILT_CHUNK tilts, which
+    gives two arrays, each point equal to the last bit to its tilt alone.
     The eigen-solve runs on B = exp(L' - max L'), where L'_ij = L_ij +
     |theta| (u_j - u_i) is a diagonal similarity of the log-moment matrix L
     with the potentials of _critical: it levels the arcs of the cycles that
@@ -181,16 +191,23 @@ def _eval(env: EnvironmentModel, theta: float) -> tuple:
     The eigenvalues and w (D * B) v / (w v) do not depend on the similarity.
     Dirichlet log-moments grow only like ln theta and need no leveling.
     """
-    L = log_moment_matrix(env, theta)      # -inf off the support
+    theta = np.asarray(theta, dtype=float)
+    thetas = theta.reshape(-1)
+    L = log_moment_matrix(env, thetas)     # (n, K, K), -inf off the support
     if env.kind != DIRICHLET:
-        u = abs(theta) * _critical(env, 1 if theta >= 0 else -1)[1]
-        L = L + (u[None, :] - u[:, None])
-    s = L.max()
-    B = np.exp(L - s)
-    rho_b, v, w = _perron(B)
-    D = dlog_moment_matrix(env, theta)
-    drift = float(w @ ((D * B) @ v)) / rho_b
-    return s + math.log(rho_b), drift
+        u = np.abs(thetas)[:, None] * np.array(
+            [_critical(env, 1 if t >= 0 else -1)[1] for t in thetas.tolist()])
+        L = L + (u[:, None, :] - u[:, :, None])
+    s = L.max(axis=(1, 2))
+    B = np.exp(L - s[:, None, None])
+    DB = dlog_moment_matrix(env, thetas) * B
+    log_rho, drift = [], []
+    for s_i, DB_i, (rho_b, v, w) in zip(s.tolist(), DB, _perron(B)):
+        log_rho.append(s_i + math.log(rho_b))
+        drift.append(float(w @ (DB_i @ v)) / rho_b)
+    if theta.ndim:
+        return np.array(log_rho), np.array(drift)
+    return log_rho[0], drift[0]
 
 
 # --------------------------------------------------------------------------
@@ -213,18 +230,21 @@ def tilted_matrix(env: EnvironmentModel, theta: float) -> TiltedMatrix:
 
 def perron_triplet(matrix: TiltedMatrix) -> PerronTriplet:
     A = matrix.entries
-    rho, v, w = _perron(A)
+    (rho, v, w), = _perron(A[None])
     resid = max(np.abs(A @ v - rho * v).max() / np.abs(v).max(),
                 np.abs(A.T @ w - rho * w).max() / np.abs(w).max())
     return PerronTriplet(rho=rho, v=v, w=w, residual=float(resid))
 
 
-def shape_values(env: EnvironmentModel, theta: float) -> ShapeValues:
-    log_rho, drift = _eval(env, theta)
+def _shape(theta: float, log_rho: float, drift: float) -> ShapeValues:
     psi = log_rho - theta * drift
     phi = log_rho - (theta - 1.0) * drift
     return ShapeValues(theta=theta, log_rho=log_rho, drift=drift,
                        psi=psi, phi=phi, f=psi)
+
+
+def shape_values(env: EnvironmentModel, theta: float) -> ShapeValues:
+    return _shape(theta, *_eval(env, theta))
 
 
 def rate_function(env: EnvironmentModel, z: float) -> float:
@@ -457,17 +477,29 @@ def predicted_saturation_constant(env: EnvironmentModel) -> float:
 
 
 def spectral_profile(env: EnvironmentModel, theta_grid: Sequence[float]) -> SpectralProfile:
-    """Tabulated shape values and constants over a theta grid."""
-    for idx, theta in enumerate(theta_grid):
-        if not (env.domain_lo < theta < env.domain_hi):
-            raise ThetaOutOfDomain(
-                f"grid point {idx} (theta = {theta!r}) outside the domain "
-                f"({env.domain_lo!r}, {env.domain_hi!r})",
-                grid_index=idx,
-            )
-    thetas = np.sort(np.asarray(theta_grid, dtype=float))
+    """Tabulated shape values and constants over a theta grid.
+
+    The grid is refused at its first point outside the domain before any
+    point is evaluated; then it is evaluated in ascending order, one stacked
+    _eval per _TILT_CHUNK points.
+    """
+    thetas = np.asarray(theta_grid, dtype=float)
+    bad = np.flatnonzero(~((env.domain_lo < thetas) & (thetas < env.domain_hi)))
+    if bad.size:
+        idx = int(bad[0])
+        raise ThetaOutOfDomain(
+            f"grid point {idx} (theta = {theta_grid[idx]!r}) outside the domain "
+            f"({env.domain_lo!r}, {env.domain_hi!r})",
+            grid_index=idx,
+        )
+    thetas = np.sort(thetas)
+    shapes = []
+    for start in range(0, thetas.size, _TILT_CHUNK):
+        chunk = thetas[start:start + _TILT_CHUNK]
+        log_rho, drift = _eval(env, chunk)
+        shapes += map(_shape, chunk.tolist(), log_rho.tolist(), drift.tolist())
     return SpectralProfile(
         thetas=thetas,
-        shapes=tuple(shape_values(env, theta) for theta in thetas),
+        shapes=tuple(shapes),
         constants=asymptotic_constants(env),
     )

@@ -158,6 +158,40 @@ def test_dirichlet_moments_match_the_per_entry_formula_bit_for_bit(env, offset, 
         assert np.array_equal(envs.dlog_moment_matrix(env, theta), dlog_m)
 
 
+@PROPERTY
+@given(env=random_envs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_stacks_match_each_tilt_bit_for_bit(env, seed):
+    lo = max(-6.0, env.domain_lo)
+    thetas = np.random.default_rng(seed).uniform(lo, 8.0, size=9)
+    thetas = thetas[thetas > env.domain_lo]
+    for moments in (envs.log_moment_matrix, envs.dlog_moment_matrix):
+        stack = moments(env, thetas)
+        assert stack.shape == (thetas.size, env.K, env.K)
+        assert stack.tobytes() == np.array([moments(env, t) for t in thetas.tolist()]).tobytes()
+
+
+def test_moment_stack_refuses_its_first_tilt_outside_the_domain(env_dirichlet):
+    with pytest.raises(ThetaOutOfDomain, match=r"theta = -2\.0 outside"):
+        envs.log_moment_matrix(env_dirichlet, np.array([0.5, -2.0, -3.0]))
+    with pytest.raises(ThetaOutOfDomain, match="theta = nan outside"):
+        envs.dlog_moment_matrix(env_dirichlet, np.array([0.5, np.nan]))
+
+
+def test_equal_payloads_compare_and_hash_equal():
+    rows = [[0.9, 0.1], [0.2, 0.8]]
+    a, b = tl.deterministic_env(rows), tl.deterministic_env(np.array(rows))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "cached"}[b] == "cached"
+    assert a._payload is a._payload                  # built once per instance
+    assert tl.parse_env_text(tl.serialize_env(a)) == a
+    # a different kind, row or mixture weight is a different environment
+    assert a != tl.dirichlet_env(rows) and a != tl.deterministic_env([[0.9, 0.1], [0.3, 0.7]])
+    comps = [[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.9, 0.1]]]
+    assert tl.mixture_env([0.5, 0.5], comps) == tl.mixture_env([0.5, 0.5], comps)
+    assert tl.mixture_env([0.5, 0.5], comps) != tl.mixture_env([0.4, 0.6], comps)
+    assert a.__eq__("markov") is NotImplemented
+
+
 def test_laplace_theta_zero_and_support():
     env = tl.dirichlet_env([[1.0, 2.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.0, 1.5]])
     for i in range(1, 4):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -625,3 +626,128 @@ def test_profile_sorts_and_reports_offender(env_dirichlet):
     with pytest.raises(ThetaOutOfDomain) as exc:
         tl.spectral_profile(env_dirichlet, [0.0, -5.0])
     assert exc.value.grid_index == 1
+
+
+# --------------------------------------------------------------------------
+# stacked evaluation
+# --------------------------------------------------------------------------
+
+_K5 = 0.1 + np.random.default_rng(5).dirichlet(np.full(5, 2.0), size=5)
+# conftest fixtures by name, then environments built here
+EVAL_ENVS = {
+    "iid": "env_iid",
+    "markov": "env_markov",
+    "dirichlet": "env_dirichlet",
+    "mixture": "env_mixture",
+    "sparse3": lambda: tl.deterministic_env([[0.5, 0.3, 0.2], [0.6, 0, 0.4], [0, 0.7, 0.3]]),
+    "sparse-dirichlet": lambda: tl.dirichlet_env([[1.0, 2.0, 0.0], [1.0, 1.0, 1.0],
+                                                  [0.5, 0.0, 1.5]]),
+    "sparse-mixture3": lambda: tl.mixture_env(
+        [0.2, 0.3, 0.5],
+        [[[0.5, 0.3, 0.2], [0.6, 0, 0.4], [0, 0.7, 0.3]],
+         [[0.1, 0.1, 0.8], [0.3, 0, 0.7], [0, 0.5, 0.5]],
+         [[0.6, 0.2, 0.2], [0.9, 0, 0.1], [0, 0.2, 0.8]]]),
+    "small-alpha": lambda: tl.dirichlet_env([[0.05, 0.02], [0.03, 0.08]]),
+    "markov5": lambda: tl.deterministic_env(_K5 / _K5.sum(axis=1, keepdims=True)),
+    "dirichlet5": lambda: tl.dirichlet_env(_K5 * 10.0),
+}
+
+
+def _eval_env(name, request):
+    make = EVAL_ENVS[name]
+    return request.getfixturevalue(make) if isinstance(make, str) else make()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _tilts_through_zero(env, n=41):
+    """n tilts from near the domain's lower end (or -6) to 8, through 0 exactly,
+    then the extreme tilt 4096 and, on an unbounded domain, -4096."""
+    lo = -6.0 if math.isinf(env.domain_lo) else env.domain_lo * (1.0 - 2.0 ** -20)
+    grid = np.concatenate([np.linspace(lo, 0.0, n // 2), np.linspace(0.0, 8.0, n - n // 2)[1:],
+                           [4096.0], [-4096.0] if math.isinf(env.domain_lo) else []])
+    return grid
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_ENVS))
+def test_stacked_evaluation_matches_one_tilt_bit_for_bit(name, request):
+    env = _eval_env(name, request)
+    grid = _tilts_through_zero(env)
+    assert 0.0 in grid and grid.size <= spectral._TILT_CHUNK
+    log_rho, drift = spectral._eval(env, grid)
+    one = [spectral._eval(env, float(t)) for t in grid]
+    assert _bits(log_rho) == _bits([p[0] for p in one])
+    assert _bits(drift) == _bits([p[1] for p in one])
+    for moments in (tl.envs.log_moment_matrix, tl.envs.dlog_moment_matrix):
+        stack = moments(env, grid)
+        assert stack.shape == (grid.size, env.K, env.K)
+        assert _bits(stack) == _bits([moments(env, float(t)) for t in grid])
+
+
+@pytest.mark.parametrize("name", ["dirichlet", "small-alpha", "sparse-dirichlet", "dirichlet5"])
+def test_dirichlet_grid_approaching_domain_lo(name, request):
+    # the smallest-alpha moment blows up at domain_lo: the drift falls without
+    # bound while log rho stays finite on the way
+    env = _eval_env(name, request)
+    grid = env.domain_lo * (1.0 - 2.0 ** -np.arange(1.0, 48.0))
+    prof = tl.spectral_profile(env, grid.tolist())
+    log_rho = np.array([sv.log_rho for sv in prof.shapes])
+    drift = np.array([sv.drift for sv in prof.shapes])
+    assert np.isfinite(log_rho).all() and np.isfinite(drift).all()
+    assert (np.diff(drift) > 0).all() and drift[0] < -20.0
+    one = [tl.shape_values(env, t) for t in prof.thetas.tolist()]
+    assert _bits(log_rho) == _bits([sv.log_rho for sv in one])
+    assert _bits(drift) == _bits([sv.drift for sv in one])
+
+
+def test_grid_longer_than_one_chunk(env_mixture, monkeypatch):
+    sizes = []
+    inner = spectral._eval
+    monkeypatch.setattr(spectral, "_eval",
+                        lambda env, t: sizes.append(np.size(t)) or inner(env, t))
+    n = 2 * spectral._TILT_CHUNK + 3
+    grid = np.linspace(-3.0, 5.0, n)[::-1]
+    prof = tl.spectral_profile(env_mixture, grid.tolist())
+    # the grid in chunks, then one-tilt root solves for the constants (unless
+    # an earlier test left them in the cache)
+    chunk = spectral._TILT_CHUNK
+    assert sizes[:3] == [chunk, chunk, 3] and set(sizes[3:]) <= {1}
+    assert list(prof.thetas) == sorted(grid)
+    monkeypatch.setattr(spectral, "_eval", inner)
+    one = [tl.shape_values(env_mixture, t) for t in prof.thetas.tolist()]
+    for field in ("log_rho", "drift", "psi", "phi", "f"):
+        assert _bits([getattr(sv, field) for sv in prof.shapes]) == \
+            _bits([getattr(sv, field) for sv in one]), field
+
+
+def test_out_of_domain_grid_is_refused_before_anything_is_evaluated(env_dirichlet, env_iid,
+                                                                     monkeypatch):
+    def evaluated(*_):
+        raise AssertionError("a refused grid was evaluated")
+
+    monkeypatch.setattr(spectral, "_eval", evaluated)
+    monkeypatch.setattr(spectral, "asymptotic_constants", evaluated)
+    for env, grid, idx in ((env_dirichlet, [0.5] * 300 + [-1.0, -2.0], 300),
+                           (env_dirichlet, [2.0, math.nan, -3.0], 1),
+                           (env_iid, [0.0, 1.0, math.inf], 2)):
+        with pytest.raises(ThetaOutOfDomain, match=f"grid point {idx} ") as exc:
+            tl.spectral_profile(env, grid)
+        assert exc.value.grid_index == idx
+
+
+def test_long_grid_memory_is_bounded_by_the_chunk():
+    # a K = 5 grid of 4096 tilts: one stack of all of them takes about 7 MB of
+    # moment, eigenvector and scratch arrays at once, one chunk about 0.25 MB
+    env = tl.deterministic_env(_K5 / _K5.sum(axis=1, keepdims=True))
+    grid = np.linspace(-2.0, 6.0, 4096).tolist()
+    tl.spectral_profile(env, grid[:2])               # constants and caches before tracing
+    tracemalloc.start()
+    try:
+        prof = tl.spectral_profile(env, grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(prof.shapes) == 4096
+    assert peak - held < 2 ** 20
