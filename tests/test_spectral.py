@@ -666,9 +666,9 @@ def _tilts_through_zero(env, n=41):
     """n tilts from near the domain's lower end (or -6) to 8, through 0 exactly,
     then the extreme tilt 4096 and, on an unbounded domain, -4096."""
     lo = -6.0 if math.isinf(env.domain_lo) else env.domain_lo * (1.0 - 2.0 ** -20)
-    grid = np.concatenate([np.linspace(lo, 0.0, n // 2), np.linspace(0.0, 8.0, n - n // 2)[1:],
+    return np.concatenate([np.linspace(lo, 0.0, n // 2),
+                           np.linspace(0.0, 8.0, n - n // 2 + 1)[1:],
                            [4096.0], [-4096.0] if math.isinf(env.domain_lo) else []])
-    return grid
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_ENVS))
