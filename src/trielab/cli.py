@@ -521,8 +521,7 @@ def build_config(argv) -> ExperimentConfig:
 
 _EXIT_CODES = (
     (( ConfigError, DegenerateX, IoError, ThetaOutOfDomain ), 2),
-    (( BadRows, BadSupport, BadAlpha, NotRegular, EnvParseError, NotStrictlyConvex,
-       FileNotFoundError ), 3),
+    (( BadRows, BadSupport, BadAlpha, NotRegular, EnvParseError, NotStrictlyConvex ), 3),
     (( OutsideRegime, ConditionsNotMet, PredictionUnavailable ), 4),
     (( DepthCapExceeded, CapExceeded ), 5),
 )
@@ -551,7 +550,7 @@ def main(argv=None) -> int:
         if isinstance(payload, ConvergenceReport) and payload.prediction_note:
             raise PredictionUnavailable(payload.prediction_note)
         return 0
-    except (TrielabError, FileNotFoundError) as exc:
+    except TrielabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -72,13 +73,10 @@ class EnvironmentModel:
         return self.kind == DETERMINISTIC
 
     @cached_property
-    def _payload(self) -> bytes:
-        """The key of equality and hashing, built once: kind, K, support and
-        payload arrays as bytes (the arrays are read-only)."""
-        parts = [self.kind.encode(), self.K.to_bytes(4, "little"), self.support.tobytes()]
-        for arr in (self.rows, self.alpha, self.weights, self.comps):
-            parts.append(b"." if arr is None else arr.tobytes())
-        return b"|".join(parts)
+    def _payload(self) -> str:
+        """The key of equality and hashing, built once: the serialized file,
+        so two environments are equal exactly when their files are."""
+        return serialize_env(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnvironmentModel):
@@ -160,9 +158,16 @@ class SaturationCheck:
 # construction
 # --------------------------------------------------------------------------
 
+def _row_sums(arr: np.ndarray) -> np.ndarray:
+    """Sums along the last axis; a NaN or infinite entry, or a sum past the
+    float range, comes out non-finite without a warning, for callers to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return arr.sum(axis=-1)
+
+
 def _check_stochastic(rows: np.ndarray, what: str) -> None:
-    sums = rows.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > _SUM_TOL)[0]
+    sums = _row_sums(rows)
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= _SUM_TOL))[0]     # NaN sums too
     if bad.size:
         i = int(bad[0])
         raise BadRows(f"{what} row {i + 1} sums to {sums[i]!r}, expected 1 within {_SUM_TOL}")
@@ -207,6 +212,9 @@ def dirichlet_env(alpha) -> EnvironmentModel:
     K = alpha.shape[0]
     if alpha.shape != (K, K) or K < 2:
         raise BadAlpha(f"alpha must be KxK with K >= 2, got shape {alpha.shape}")
+    finite = np.isfinite(_row_sums(alpha))
+    if not finite.all():
+        raise BadAlpha(f"alpha row {np.argmin(finite) + 1} has an entry or a sum that is not finite")
     if (alpha < 0).any():
         i, j = np.argwhere(alpha < 0)[0]
         raise BadAlpha(f"alpha[{i + 1},{j + 1}] = {alpha[i, j]!r} is negative")
@@ -226,8 +234,9 @@ def mixture_env(weights, comps) -> EnvironmentModel:
     K = comps.shape[1]
     if comps.shape[1:] != (K, K) or K < 2:
         raise BadRows(f"component matrices must be KxK with K >= 2, got {comps.shape}")
-    if abs(weights.sum() - 1.0) > _SUM_TOL:
-        raise BadRows(f"mixture weights sum to {weights.sum()!r}, expected 1")
+    total = _row_sums(weights)
+    if not abs(total - 1.0) <= _SUM_TOL:
+        raise BadRows(f"mixture weights sum to {total!r}, expected 1")
     if (weights <= 0).any():
         raise BadRows("mixture weights must be strictly positive")
     for c in range(M):
@@ -455,13 +464,30 @@ def sample_rows(env: EnvironmentModel, types, rng: np.random.Generator,
 # --------------------------------------------------------------------------
 # [env]
 # kind = deterministic | dirichlet | mixture
-# K = <int>
-# deterministic: row.<i>   = p1 ... pK
-# dirichlet:     alpha.<i> = a1 ... aK     (0 marks an unsupported entry)
+# K = <int >= 2>
+# deterministic: row.<i>   = p1 ... pK          i = 1..K
+# dirichlet:     alpha.<i> = a1 ... aK          (0 marks an unsupported entry)
 # mixture:       weights   = q1 ... qM
-#                comp.<c>.row.<i> = p1 ... pK
-# Blank lines and '#' comments are ignored; numbers are plain decimals with
-# at most 17 significant digits.
+#                comp.<c>.row.<i> = p1 ... pK   c = 1..M, i = 1..K
+# Indices are plain decimals from 1.  Each key appears once, under one [env]
+# line; a key of another kind, or an index past K or M, is refused at its
+# line.  Blank lines and '#' comments are ignored.  Numbers are plain
+# decimals with at most 17 significant digits; nan and inf are refused.
+# _row_keys lists a kind's keys in file order, for both directions.
+
+_ROW_KEY = {DETERMINISTIC: "row.{i}", DIRICHLET: "alpha.{i}", MIXTURE: "comp.{c}.row.{i}"}
+
+
+def _row_keys(kind: str, K: int, M: int):
+    """The payload keys of a file in file order: row.<i>, alpha.<i>, or
+    weights and then comp.<c>.row.<i>.  A generator, so a K far past the
+    file's length costs nothing until its keys are asked for."""
+    if kind == MIXTURE:
+        yield "weights"
+    for c in range(1, M + 1):
+        for i in range(1, K + 1):
+            yield _ROW_KEY[kind].format(c=c, i=i)
+
 
 def _parse_number(tok: str, line_no: int) -> float:
     digits = tok.lower().split("e")[0].replace("-", "").replace("+", "").replace(".", "")
@@ -469,88 +495,12 @@ def _parse_number(tok: str, line_no: int) -> float:
     if len(digits) > _MAX_SIG_DIGITS:
         raise EnvParseError(line_no, f"number {tok!r} carries more than {_MAX_SIG_DIGITS} significant digits")
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise EnvParseError(line_no, f"cannot parse number {tok!r}") from None
-
-
-def parse_env_text(text: str) -> EnvironmentModel:
-    kind = None
-    K = None
-    rows: dict = {}
-    alphas: dict = {}
-    weights = None
-    comp_rows: dict = {}
-    in_env = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if line != "[env]":
-                raise EnvParseError(line_no, f"unknown section {line!r}")
-            in_env = True
-            continue
-        if not in_env:
-            raise EnvParseError(line_no, "content before [env] section")
-        if "=" not in line:
-            raise EnvParseError(line_no, "expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "kind":
-            kind = value.lower()
-        elif key == "K":
-            try:
-                K = int(value)
-            except ValueError:
-                raise EnvParseError(line_no, f"K must be an integer, got {value!r}") from None
-        elif key.startswith("row."):
-            rows[_index(key[4:], line_no)] = _vector(value, line_no)
-        elif key.startswith("alpha."):
-            alphas[_index(key[6:], line_no)] = _vector(value, line_no)
-        elif key == "weights":
-            weights = _vector(value, line_no)
-        elif key.startswith("comp."):
-            parts = key.split(".")
-            if len(parts) != 4 or parts[2] != "row":
-                raise EnvParseError(line_no, f"unknown key {key!r}")
-            c = _index(parts[1], line_no)
-            i = _index(parts[3], line_no)
-            comp_rows[(c, i)] = _vector(value, line_no)
-        else:
-            raise EnvParseError(line_no, f"unknown key {key!r}")
-    if kind is None or K is None:
-        raise EnvParseError(0, "missing 'kind' or 'K'")
-    if kind == DETERMINISTIC:
-        mat = _assemble(rows, K, "row")
-        return deterministic_env(mat)
-    if kind == DIRICHLET:
-        mat = _assemble(alphas, K, "alpha")
-        return dirichlet_env(mat)
-    if kind == MIXTURE:
-        if weights is None:
-            raise EnvParseError(0, "mixture requires a 'weights' line")
-        M = len(weights)
-        comps = np.empty((M, K, K))
-        for c in range(1, M + 1):
-            for i in range(1, K + 1):
-                if (c, i) not in comp_rows:
-                    raise EnvParseError(0, f"missing comp.{c}.row.{i}")
-                vec = comp_rows[(c, i)]
-                if len(vec) != K:
-                    raise EnvParseError(0, f"comp.{c}.row.{i} has {len(vec)} entries, expected {K}")
-                comps[c - 1, i - 1] = vec
-        return mixture_env(weights, comps)
-    raise EnvParseError(0, f"unknown kind {kind!r}")
-
-
-def _index(tok: str, line_no: int) -> int:
-    try:
-        idx = int(tok)
-    except ValueError:
-        raise EnvParseError(line_no, f"bad index {tok!r}") from None
-    if idx < 1:
-        raise EnvParseError(line_no, f"indices are 1-based, got {idx}")
-    return idx
+    if not math.isfinite(value):
+        raise EnvParseError(line_no, f"number {tok!r} is not finite")
+    return value
 
 
 def _vector(value: str, line_no: int) -> np.ndarray:
@@ -560,37 +510,82 @@ def _vector(value: str, line_no: int) -> np.ndarray:
     return np.array([_parse_number(t, line_no) for t in toks])
 
 
-def _assemble(entries: dict, K: int, what: str) -> np.ndarray:
-    mat = np.empty((K, K))
-    for i in range(1, K + 1):
-        if i not in entries:
-            raise EnvParseError(0, f"missing {what}.{i}")
-        vec = entries[i]
-        if len(vec) != K:
-            raise EnvParseError(0, f"{what}.{i} has {len(vec)} entries, expected {K}")
-        mat[i - 1] = vec
-    return mat
+def parse_env_text(text: str) -> EnvironmentModel:
+    entries: dict = {}                           # key -> (line number, value)
+    in_env = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if line != "[env]":
+                raise EnvParseError(line_no, f"unknown section {line!r}")
+            if in_env:
+                raise EnvParseError(line_no, "repeated [env] section")
+            in_env = True
+            continue
+        if not in_env:
+            raise EnvParseError(line_no, "content before [env] section")
+        if "=" not in line:
+            raise EnvParseError(line_no, "expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise EnvParseError(line_no, f"repeated key {key!r}, first on line {entries[key][0]}")
+        entries[key] = (line_no, value)
+    if "kind" not in entries or "K" not in entries:
+        raise EnvParseError(0, "missing 'kind' or 'K'")
+    (kind_line, kind), (K_line, K) = entries.pop("kind"), entries.pop("K")
+    kind = kind.lower()
+    if kind not in _ROW_KEY:
+        raise EnvParseError(kind_line, f"unknown kind {kind!r}")
+    try:
+        K = int(K)
+    except ValueError:
+        raise EnvParseError(K_line, f"K must be an integer, got {K!r}") from None
+    if K < 2:
+        raise EnvParseError(K_line, f"K must be at least 2, got {K}")
+    numbers = {key: (line_no, _vector(value, line_no)) for key, (line_no, value) in entries.items()}
+    M = len(numbers["weights"][1]) if kind == MIXTURE and "weights" in numbers else 1
+    # a table longer than the file lacks one of its first len(numbers) + 1 keys
+    table = list(islice(_row_keys(kind, K, M), len(numbers) + 1))
+    for key in table:
+        if key not in numbers:
+            raise EnvParseError(0, f"missing {key}")
+    keys = set(table)                            # no key is missing: the whole table
+    for key, (line_no, vec) in numbers.items():
+        if key not in keys:
+            raise EnvParseError(line_no, f"unknown key {key!r}; a {kind} file with K = {K} "
+                                         f"has the keys {table[0]} .. {table[-1]}")
+        if key != "weights" and len(vec) != K:
+            raise EnvParseError(line_no, f"{key} has {len(vec)} entries, expected {K}")
+    payload = [numbers[key][1] for key in table]
+    if kind == MIXTURE:
+        return mixture_env(payload[0], np.reshape(payload[1:], (M, K, K)))
+    return (deterministic_env if kind == DETERMINISTIC else dirichlet_env)(np.array(payload))
 
 
 def load_env(path) -> EnvironmentModel:
-    with open(path, encoding="utf-8") as fh:
-        return parse_env_text(fh.read())
+    """parse_env_text of a UTF-8 file; a file that cannot be read or decoded
+    is an EnvParseError too."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise EnvParseError(0, f"cannot read {str(path)!r}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise EnvParseError(line_no, f"byte {exc.start} is not UTF-8: {exc.reason}") from None
+    return parse_env_text(text)
 
 
 def serialize_env(env: EnvironmentModel) -> str:
     """Round-trippable text form (repr keeps each float bit-identical)."""
+    arrays = [a for a in (env.rows, env.alpha, env.weights, env.comps) if a is not None]
+    payload = [line for a in arrays for line in a.reshape(-1, a.shape[-1])]   # _row_keys order
+    M = 1 if env.weights is None else env.weights.size
     lines = ["[env]", f"kind = {env.kind}", f"K = {env.K}"]
-    if env.kind == DETERMINISTIC:
-        for i in range(env.K):
-            lines.append(f"row.{i + 1} = " + " ".join(repr(float(x)) for x in env.rows[i]))
-    elif env.kind == DIRICHLET:
-        for i in range(env.K):
-            lines.append(f"alpha.{i + 1} = " + " ".join(repr(float(x)) for x in env.alpha[i]))
-    else:
-        lines.append("weights = " + " ".join(repr(float(x)) for x in env.weights))
-        for c in range(len(env.weights)):
-            for i in range(env.K):
-                lines.append(
-                    f"comp.{c + 1}.row.{i + 1} = " + " ".join(repr(float(x)) for x in env.comps[c, i])
-                )
+    for key, values in zip(_row_keys(env.kind, env.K, M), payload):
+        lines.append(f"{key} = " + " ".join(map(repr, values.tolist())))
     return "\n".join(lines) + "\n"

@@ -13,6 +13,35 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
 
 
+_DET2 = "[env]\nkind = deterministic\nK = 2\n"
+_ROWS2 = "row.1 = 0.5 0.5\nrow.2 = 0.5 0.5\n"
+_MIX2 = "[env]\nkind = mixture\nK = 2\nweights = 1\ncomp.1.row.1 = 0.5 0.5\ncomp.1.row.2 = 0.5 0.5\n"
+
+# files the parser refuses: (file text, line the refusal names, message pattern)
+MALFORMED_ENVS = [pytest.param(*case, id=name) for name, case in {
+    "alpha-in-deterministic": (_DET2 + _ROWS2 + "alpha.1 = 1 1\n", 6,
+                               "unknown key 'alpha.1'; a deterministic file"),
+    "row-past-K": (_DET2 + _ROWS2 + "row.3 = 0.5 0.5\n", 6, "unknown key 'row.3'"),
+    "comp-past-M": (_MIX2 + "comp.2.row.1 = 0.5 0.5\n", 7, "unknown key 'comp.2.row.1'"),
+    "repeated-key": (_DET2 + "row.1 = 0.5 0.5\nrow.1 = 0.7 0.3\nrow.2 = 0.5 0.5\n", 5,
+                     "repeated key 'row.1', first on line 4"),
+    "repeated-section": (_DET2 + "row.1 = 0.5 0.5\n[env]\nrow.2 = 0.5 0.5\n", 5,
+                         r"repeated \[env\] section"),
+    "negative-K": ("[env]\nkind = deterministic\nK = -1\n" + _ROWS2, 3,
+                   "K must be at least 2, got -1"),
+    "huge-K": ("[env]\nkind = deterministic\nK = 100000000\n" + _ROWS2, 0, "missing row.3"),
+    "short-file": ("[env]\nkind = deterministic\nK = 3\nrow.1 = 0.5 0.25 0.25\n"
+                   "row.2 = 0.5 0.25 0.25\n", 0, "missing row.3"),
+    "no-weights": ("[env]\nkind = mixture\nK = 2\ncomp.1.row.1 = 0.5 0.5\n", 0, "missing weights"),
+    "long-row": (_DET2 + "row.1 = 0.5 0.25 0.25\nrow.2 = 0.5 0.5\n", 4,
+                 "row.1 has 3 entries, expected 2"),
+    "nan": (_DET2 + "row.1 = nan 0.5\nrow.2 = 0.5 0.5\n", 4, "number 'nan' is not finite"),
+    "inf": (_DET2 + "row.1 = 0.5 0.5\nrow.2 = 0.5 -inf\n", 5, "number '-inf' is not finite"),
+    "overflow": (_DET2 + "row.1 = 0.5 0.5\nrow.2 = 1e400 0.5\n", 5,
+                 "number '1e400' is not finite"),
+}.items()]
+
+
 @pytest.fixture(scope="session")
 def env_iid():
     """i.i.d. letters with probabilities (0.7, 0.3)."""
@@ -49,10 +78,11 @@ def env_mixture():
 
 
 @st.composite
-def random_envs(draw):
+def random_envs(draw, max_K=4, comps=(2, 3)):
     """Deterministic, Dirichlet or mixture environments on random
-    positive-regular supports, K <= 4."""
-    K = draw(st.integers(2, 4))
+    positive-regular supports, K <= max_K, a mixture's component count in
+    the closed range comps."""
+    K = draw(st.integers(2, max_K))
     support = np.array(draw(st.lists(st.lists(st.booleans(), min_size=K, max_size=K),
                                      min_size=K, max_size=K)))
     assume((support.sum(axis=1) >= 2).all())
@@ -71,7 +101,7 @@ def random_envs(draw):
             return tl.deterministic_env(stochastic())
         if kind == "dirichlet":
             return tl.dirichlet_env(matrix(0.1, 5.0))
-        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=3)))
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=comps[0], max_size=comps[1])))
         return tl.mixture_env(weights / weights.sum(), [stochastic() for _ in weights])
     except NotRegular:
         assume(False)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from trielab.cli import (
 from trielab.cli import _median
 from trielab.errors import CapExceeded, ConfigError, DegenerateX
 
-from conftest import PROPERTY
+from conftest import MALFORMED_ENVS, PROPERTY
 
 IID_ENV = "[env]\nkind = deterministic\nK = 2\nrow.1 = 0.7 0.3\nrow.2 = 0.7 0.3\n"
 DIRICHLET_ENV = "[env]\nkind = dirichlet\nK = 2\nalpha.1 = 1 1\nalpha.2 = 1 1\n"
@@ -536,6 +537,43 @@ def test_exit_code_missing_env(tmp_path):
     code, err = run_cli(["converge", "--env", str(tmp_path / "nope.env"), "--j", "2",
                          "--out", str(tmp_path / "x.csv")])
     assert code == 3
+    assert err == (f"error: EnvParseError: line 0: cannot read {str(tmp_path / 'nope.env')!r}: "
+                   "No such file or directory")
+
+
+@pytest.mark.parametrize("contents, message", [
+    (None, "line 0: cannot read '.*bad.env': Is a directory"),
+    (IID_ENV.encode() + b"# caf\xe9\n", f"line 6: byte {len(IID_ENV) + 5} is not UTF-8"),
+], ids=["directory", "not-utf8"])
+def test_unreadable_env_files_exit_3(tmp_path, contents, message):
+    path = tmp_path / "bad.env"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    code, err = run_cli(["spectral", "--env", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 3 and "\n" not in err
+    assert re.fullmatch(f"error: EnvParseError: {message}.*", err)
+
+
+def test_env_file_the_system_refuses_exits_3(tmp_path, iid_env_file, monkeypatch, capsys):
+    def refuse(path, *_):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(tl.envs, "open", refuse, raising=False)
+    assert main(["spectral", "--env", iid_env_file, "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == (f"error: EnvParseError: line 0: cannot read "
+                                       f"{iid_env_file!r}: Permission denied\n")
+
+
+@pytest.mark.parametrize("text, line_no, message", MALFORMED_ENVS)
+def test_malformed_env_files_exit_3_with_one_line(tmp_path, capsys, text, line_no, message):
+    path = tmp_path / "bad.env"
+    path.write_text(text)
+    assert main(["spectral", "--env", str(path), "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: EnvParseError: line {line_no}: ") and err.count("\n") == 1
+    assert re.search(message, err)
 
 
 def test_exit_code_unavailable_regime_still_writes(tmp_path):

@@ -1,10 +1,11 @@
 """Environment construction, tilted moments, regularity, sampling, file I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -19,7 +20,7 @@ from trielab.errors import (
     ThetaOutOfDomain,
 )
 
-from conftest import PROPERTY, laplace_entry, random_envs
+from conftest import MALFORMED_ENVS, PROPERTY, laplace_entry, random_envs
 
 
 # --------------------------------------------------------------------------
@@ -52,6 +53,18 @@ def test_bad_rows_rejected():
 def test_bad_alpha_rejected():
     with pytest.raises(BadAlpha):
         tl.dirichlet_env([[1.0, -0.5], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: tl.deterministic_env([[math.nan, 0.5, 0.5], [0.2, 0.4, 0.4], [0.3, 0.3, 0.4]]),
+     BadRows),
+    (lambda: tl.mixture_env([math.nan, 1.0], [[[0.5, 0.5], [0.5, 0.5]]] * 2), BadRows),
+    (lambda: tl.dirichlet_env([[math.inf, 1.0], [1.0, 1.0]]), BadAlpha),
+    (lambda: tl.dirichlet_env([[1.0, 1.0], [1e308, 1e308]]), BadAlpha),     # the sum overflows
+], ids=["nan-row", "nan-weight", "inf-alpha", "overflowing-alpha-sum"])
+def test_non_finite_payloads_are_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_bad_support_rejected():
@@ -379,6 +392,38 @@ def test_parse_rejects_too_many_digits():
     with pytest.raises(EnvParseError) as exc:
         tl.parse_env_text(text)
     assert exc.value.line_no == 4
+
+
+@pytest.mark.parametrize("text, line_no, message", MALFORMED_ENVS)
+def test_parse_refuses_malformed_files(text, line_no, message):
+    with pytest.raises(EnvParseError, match=message) as exc:
+        tl.parse_env_text(text)
+    assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize("payload, missing", [
+    ("kind = deterministic\nK = 100000000\nrow.1 = 0.5 0.5\n", "row.2"),
+    ("kind = mixture\nK = 100000000\nweights = 0.5 0.5\ncomp.1.row.1 = 0.5 0.5\n", "comp.1.row.2"),
+])
+def test_parse_refuses_a_huge_K_before_building_an_array(payload, missing):
+    text = "[env]\n" + payload
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnvParseError, match=f"line 0: missing {missing}$"):
+            tl.parse_env_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@settings(PROPERTY, max_examples=150)                 # about 45 of each kind
+@given(env=random_envs(max_K=6, comps=(1, 4)))
+def test_file_round_trip_is_byte_identical(env):
+    text = tl.serialize_env(env)
+    again = tl.parse_env_text(text)
+    assert tl.serialize_env(again) == text
+    assert again == env and again._payload == text
 
 
 def test_parse_mixture_file():
