@@ -29,6 +29,7 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -333,9 +334,21 @@ def _fmt(x) -> str:
 
 
 def _write(path, text):
+    """Write the report over what `path` holds, in place, and trim a regular
+    file to the report's length.  Truncating first, as open(path, "w") does,
+    frees the old report's data blocks, which costs 40-80 ms per rerun on a
+    filesystem mounted with discard; rewriting the blocks frees none."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:                                 # a pipe may take part of it
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):      # not /dev/null, a FIFO or a tty
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise IoError(f"cannot write report to {path!r}: {exc}") from exc
 

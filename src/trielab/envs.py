@@ -471,8 +471,9 @@ def sample_rows(env: EnvironmentModel, types, rng: np.random.Generator,
 #                comp.<c>.row.<i> = p1 ... pK   c = 1..M, i = 1..K
 # Indices are plain decimals from 1.  Each key appears once, under one [env]
 # line; a key of another kind, or an index past K or M, is refused at its
-# line.  Blank lines and '#' comments are ignored.  Numbers are plain
-# decimals with at most 17 significant digits; nan and inf are refused.
+# line.  Blank lines and '#' comments are ignored.  Numbers are plain ASCII
+# decimals with at most 17 significant digits; digit-group underscores,
+# non-ASCII digits, nan and inf are refused.
 # _row_keys lists a kind's keys in file order, for both directions.
 
 _ROW_KEY = {DETERMINISTIC: "row.{i}", DIRICHLET: "alpha.{i}", MIXTURE: "comp.{c}.row.{i}"}
@@ -489,7 +490,15 @@ def _row_keys(kind: str, K: int, M: int):
             yield _ROW_KEY[kind].format(c=c, i=i)
 
 
+def _is_plain(tok: str) -> bool:
+    """False for what int() and float() take beyond plain ASCII decimals:
+    digit-group underscores and non-ASCII digits."""
+    return tok.isascii() and "_" not in tok
+
+
 def _parse_number(tok: str, line_no: int) -> float:
+    if not _is_plain(tok):
+        raise EnvParseError(line_no, f"number {tok!r} is not a plain ASCII decimal")
     digits = tok.lower().split("e")[0].replace("-", "").replace("+", "").replace(".", "")
     digits = digits.lstrip("0")
     if len(digits) > _MAX_SIG_DIGITS:
@@ -539,9 +548,11 @@ def parse_env_text(text: str) -> EnvironmentModel:
     if kind not in _ROW_KEY:
         raise EnvParseError(kind_line, f"unknown kind {kind!r}")
     try:
+        if not _is_plain(K):
+            raise ValueError
         K = int(K)
     except ValueError:
-        raise EnvParseError(K_line, f"K must be an integer, got {K!r}") from None
+        raise EnvParseError(K_line, f"K must be a plain ASCII integer, got {K!r}") from None
     if K < 2:
         raise EnvParseError(K_line, f"K must be at least 2, got {K}")
     numbers = {key: (line_no, _vector(value, line_no)) for key, (line_no, value) in entries.items()}

@@ -39,6 +39,15 @@ MALFORMED_ENVS = [pytest.param(*case, id=name) for name, case in {
     "inf": (_DET2 + "row.1 = 0.5 0.5\nrow.2 = 0.5 -inf\n", 5, "number '-inf' is not finite"),
     "overflow": (_DET2 + "row.1 = 0.5 0.5\nrow.2 = 1e400 0.5\n", 5,
                  "number '1e400' is not finite"),
+    # int() and float() take digit-group underscores and any script's digits
+    "underscore-number": (_DET2 + "row.1 = 0.6_5 0.35\nrow.2 = 0.5 0.5\n", 4,
+                          "number '0.6_5' is not a plain ASCII decimal"),
+    "non-ascii-number": (_DET2 + "row.1 = 0.5 0.5\nrow.2 = 0.5 \u0660.5\n", 5,
+                         "number '\u0660.5' is not a plain ASCII decimal"),
+    "non-ascii-K": ("[env]\nkind = deterministic\nK = \u0662\n" + _ROWS2, 3,
+                    "K must be a plain ASCII integer, got '\u0662'"),
+    "underscore-K": ("[env]\nkind = deterministic\nK = 0_2\n" + _ROWS2, 3,
+                     "K must be a plain ASCII integer, got '0_2'"),
 }.items()]
 
 

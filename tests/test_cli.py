@@ -197,6 +197,50 @@ def test_readme_spectral_example_runs(tmp_path, monkeypatch):
     assert float(lines[1].split(",")[0]) == -2.0 and len(lines) == 1 + 33 + 5
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rerun_rewrites_the_report_in_place(tmp_path, iid_env_file, monkeypatch, fmt):
+    # a shorter report over a longer one leaves the new bytes alone, in the
+    # same inode: the file is rewritten and trimmed, not truncated first
+    # (truncating frees the old report's blocks, which can take tens of ms)
+    opened = []
+
+    def spy(path, flags, *args):
+        opened.append(flags)
+        return os_open(path, flags, *args)
+
+    os_open = os.open
+    monkeypatch.setattr(os, "open", spy)
+
+    def spectral(grid, out):
+        assert main(["spectral", "--env", iid_env_file, f"--theta-grid={grid}",
+                     f"--format={fmt}", f"--out={out}"]) == 0
+        return out.read_bytes()
+
+    out = tmp_path / f"s.{fmt}"
+    longer = spectral("0:2:33", out)
+    inode = out.stat().st_ino
+    shorter = spectral("0:2:3", out)
+    assert len(shorter) < len(longer)
+    assert shorter == spectral("0:2:3", tmp_path / f"fresh.{fmt}")
+    assert out.stat().st_ino == inode
+    assert len(opened) == 3 and not any(flags & os.O_TRUNC for flags in opened)
+
+
+def test_report_to_dev_null(iid_env_file):
+    assert main(["spectral", "--env", iid_env_file, "--theta-grid=0:2:3",
+                 "--out=/dev/null"]) == 0
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, iid_env_file, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "s.csv"
+    assert main(["spectral", "--env", iid_env_file, "--theta-grid=0:2:3",
+                 f"--out={out}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: IoError: cannot write report to {str(out)!r}: ")
+    assert err.count("\n") == 1
+
+
 # --------------------------------------------------------------------------
 # CLI end-to-end
 # --------------------------------------------------------------------------
@@ -569,7 +613,7 @@ def test_env_file_the_system_refuses_exits_3(tmp_path, iid_env_file, monkeypatch
 @pytest.mark.parametrize("text, line_no, message", MALFORMED_ENVS)
 def test_malformed_env_files_exit_3_with_one_line(tmp_path, capsys, text, line_no, message):
     path = tmp_path / "bad.env"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["spectral", "--env", str(path), "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: EnvParseError: line {line_no}: ") and err.count("\n") == 1
