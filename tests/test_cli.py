@@ -202,13 +202,12 @@ def test_rerun_rewrites_the_report_in_place(tmp_path, iid_env_file, monkeypatch,
     # a shorter report over a longer one leaves the new bytes alone, in the
     # same inode: the file is rewritten and trimmed, not truncated first
     # (truncating frees the old report's blocks, which can take tens of ms)
-    opened = []
+    opened, os_open = [], os.open
 
     def spy(path, flags, *args):
         opened.append(flags)
         return os_open(path, flags, *args)
 
-    os_open = os.open
     monkeypatch.setattr(os, "open", spy)
 
     def spectral(grid, out):
